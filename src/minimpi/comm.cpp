@@ -314,11 +314,7 @@ Status Comm::recv_bytes(std::span<std::byte> data, int source, int tag,
       throw MpiError(os.str());  // message stays queued, as before
     }
     const Status status{env->source, env->tag, env->payload.size()};
-    const double completion =
-        std::max({st.clock, env->arrival_head, mb.link_busy_until}) +
-        env->byte_time;
-    mb.link_busy_until = completion;
-    env->completion_time = completion;
+    const double completion = detail::charge_ingress(mb, *env, st.clock);
     st.stats.sim_comm_seconds += completion - st.clock;
     st.clock = completion;
     if (!internal) {
@@ -537,12 +533,7 @@ Request Comm::irecv_bytes(std::span<std::byte> data, int source, int tag,
     const std::shared_ptr<detail::Envelope> env = m->handle();
     req->status = Status{env->source, env->tag, env->payload.size()};
     req->src_world = env->src_world;
-    const double completion =
-        std::max({req->post_time, env->arrival_head, mb.link_busy_until}) +
-        env->byte_time;
-    mb.link_busy_until = completion;
-    req->completion_time = completion;
-    env->completion_time = completion;
+    req->completion_time = detail::charge_ingress(mb, *env, req->post_time);
     if (env->payload.size() > req->capacity) {
       std::ostringstream os;
       os << "message truncation: irecv buffer holds " << req->capacity
@@ -662,11 +653,7 @@ detail::StagedBuffer Comm::recv_staged(int source, int tag, Status* status) {
   if (auto m = mb.unexpected.find(source, tag, context_, /*internal=*/true)) {
     const std::shared_ptr<detail::Envelope> env = m->handle();
     const Status stt{env->source, env->tag, env->payload.size()};
-    const double completion =
-        std::max({st.clock, env->arrival_head, mb.link_busy_until}) +
-        env->byte_time;
-    mb.link_busy_until = completion;
-    env->completion_time = completion;
+    const double completion = detail::charge_ingress(mb, *env, st.clock);
     st.stats.sim_comm_seconds += completion - st.clock;
     st.clock = completion;
     mb.unexpected.erase(*m);
@@ -1129,11 +1116,7 @@ bool Comm::recv_ack_timeout(std::span<std::byte> data, int source, int tag,
       throw MpiError("reliable delivery: oversized acknowledgement frame");
     }
     const Status stt{env->source, env->tag, env->payload.size()};
-    const double completion =
-        std::max({st.clock, env->arrival_head, mb.link_busy_until}) +
-        env->byte_time;
-    mb.link_busy_until = completion;
-    env->completion_time = completion;
+    const double completion = detail::charge_ingress(mb, *env, st.clock);
     st.stats.sim_comm_seconds += completion - st.clock;
     st.clock = completion;
     st.stats.copied_bytes += stt.bytes;

@@ -3,6 +3,7 @@
 // a shared handle to a RequestState.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -445,5 +446,18 @@ struct Mailbox {
   /// previously received payloads (receiver-side serialization).
   double link_busy_until = 0.0;
 };
+
+/// Receiver-side ingress serialization, the one timing rule of every
+/// receive: the payload streams in only after `floor` (the receiver's
+/// clock, or a posted receive's post time), the head's arrival, and the
+/// end of earlier payloads on this rank's link.  Occupies the link until
+/// the completion, stamps it on the envelope, and returns it.
+inline double charge_ingress(Mailbox& mb, Envelope& env, double floor) {
+  const double completion =
+      std::max({floor, env.arrival_head, mb.link_busy_until}) + env.byte_time;
+  mb.link_busy_until = completion;
+  env.completion_time = completion;
+  return completion;
+}
 
 }  // namespace dipdc::minimpi::detail

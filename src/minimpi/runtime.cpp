@@ -119,15 +119,7 @@ std::shared_ptr<detail::RequestState> Runtime::deliver_locked(
     req->status = Status{env->source, env->tag, env->payload.size()};
     req->src_world = env->src_world;
     req->trace_seq = env->trace_seq;
-    // Receiver-side link serialization: the payload streams in only after
-    // the receive is posted, the head arrives, and the ingress link is
-    // free from earlier messages.
-    const double start = std::max({req->post_time, env->arrival_head,
-                                   mb.link_busy_until});
-    const double completion = start + env->byte_time;
-    mb.link_busy_until = completion;
-    req->completion_time = completion;
-    env->completion_time = completion;
+    req->completion_time = detail::charge_ingress(mb, *env, req->post_time);
     mb.posted.erase(it);
 
     if (req->want_staged) {

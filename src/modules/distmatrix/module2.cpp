@@ -2,10 +2,16 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <numeric>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "dataio/chunk.hpp"
 #include "kernels/distance.hpp"
 #include "minimpi/ops.hpp"
+#include "modules/stream_sweep.hpp"
 #include "support/error.hpp"
 
 namespace dipdc::modules::distmatrix {
@@ -66,6 +72,44 @@ double estimated_traffic_tiled(std::size_t rows, std::size_t n,
   return ntiles * (tile_bytes + rows_bytes);
 }
 
+namespace {
+
+/// Combine — the module's MPI_Reduce step, shared by every driver: the
+/// checksum (Sum) and this rank's span since `t0` (Max) are reduced to the
+/// root, then, when the driver counts them, this rank's distance pairs
+/// (Max, then Sum, for the compute imbalance); every result is broadcast
+/// back in the same order.
+void combine(mpi::Comm& comm, double local_checksum, double t0,
+             std::optional<double> pairs, Result& result) {
+  comm.phase_begin("combine");
+  const auto reduce = [&](double value, auto op) {
+    double out = 0.0;
+    comm.reduce(std::span<const double>(&value, 1),
+                std::span<double>(&out, 1), op, 0);
+    return out;
+  };
+  const double checksum = reduce(local_checksum, mpi::ops::Sum{});
+  const double slowest = reduce(comm.wtime() - t0, mpi::ops::Max{});
+  double max_pairs = 0.0;
+  double sum_pairs = 0.0;
+  if (pairs) {
+    max_pairs = reduce(*pairs, mpi::ops::Max{});
+    sum_pairs = reduce(*pairs, mpi::ops::Sum{});
+  }
+  result.checksum = comm.bcast_value(checksum, 0);
+  result.sim_time = comm.bcast_value(slowest, 0);
+  if (pairs) {
+    max_pairs = comm.bcast_value(max_pairs, 0);
+    sum_pairs = comm.bcast_value(sum_pairs, 0);
+    const double mean_pairs = sum_pairs / static_cast<double>(comm.size());
+    result.compute_imbalance =
+        mean_pairs > 0.0 ? max_pairs / mean_pairs : 1.0;
+  }
+  comm.phase_end();
+}
+
+}  // namespace
+
 Result run_distributed(mpi::Comm& comm, const dataio::Dataset& dataset,
                        const Config& config) {
   const int p = comm.size();
@@ -82,16 +126,22 @@ Result run_distributed(mpi::Comm& comm, const dataio::Dataset& dataset,
   result.n = n;
   result.dim = dim;
 
-  // The extension path (symmetric triangle and/or cyclic rows) shares the
-  // broadcast but assigns rows by index list and skips the block scatter.
-  if (config.symmetric || config.distribution == RowDistribution::kCyclic) {
-    const double t0x = comm.wtime();
+  // Every rank needs all points as distance partners.
+  const auto bcast_dataset = [&] {
     std::vector<double> all(n * dim);
     if (r == 0) {
       std::copy(dataset.values().begin(), dataset.values().end(),
                 all.begin());
     }
     comm.bcast(std::span<double>(all), 0);
+    return all;
+  };
+
+  // The extension path (symmetric triangle and/or cyclic rows) shares the
+  // broadcast but assigns rows by index list and skips the block scatter.
+  if (config.symmetric || config.distribution == RowDistribution::kCyclic) {
+    const double t0x = comm.wtime();
+    const std::vector<double> all = bcast_dataset();
     const double t_commx = comm.wtime();
 
     std::vector<std::size_t> my_rows;
@@ -155,27 +205,7 @@ Result run_distributed(mpi::Comm& comm, const dataio::Dataset& dataset,
         local_checksum += (config.symmetric && j > i) ? 2.0 * v : v;
       }
     }
-    double checksum = 0.0;
-    comm.reduce(std::span<const double>(&local_checksum, 1),
-                std::span<double>(&checksum, 1), mpi::ops::Sum{}, 0);
-    const double my_total = comm.wtime() - t0x;
-    double slowest = 0.0;
-    comm.reduce(std::span<const double>(&my_total, 1),
-                std::span<double>(&slowest, 1), mpi::ops::Max{}, 0);
-    double max_pairs = 0.0;
-    comm.reduce(std::span<const double>(&pairs, 1),
-                std::span<double>(&max_pairs, 1), mpi::ops::Max{}, 0);
-    double sum_pairs = 0.0;
-    comm.reduce(std::span<const double>(&pairs, 1),
-                std::span<double>(&sum_pairs, 1), mpi::ops::Sum{}, 0);
-
-    result.checksum = comm.bcast_value(checksum, 0);
-    result.sim_time = comm.bcast_value(slowest, 0);
-    max_pairs = comm.bcast_value(max_pairs, 0);
-    sum_pairs = comm.bcast_value(sum_pairs, 0);
-    const double mean_pairs = sum_pairs / static_cast<double>(p);
-    result.compute_imbalance =
-        mean_pairs > 0.0 ? max_pairs / mean_pairs : 1.0;
+    combine(comm, local_checksum, t0x, pairs, result);
     result.comm_time = t_commx - t0x;
     result.compute_time = (comm.wtime() - t0x) - result.comm_time;
     return result;
@@ -206,11 +236,7 @@ Result run_distributed(mpi::Comm& comm, const dataio::Dataset& dataset,
                 std::span<const std::size_t>(displs),
                 std::span<double>(my_block), 0);
 
-  std::vector<double> all(n * dim);
-  if (r == 0) {
-    std::copy(dataset.values().begin(), dataset.values().end(), all.begin());
-  }
-  comm.bcast(std::span<double>(all), 0);
+  const std::vector<double> all = bcast_dataset();
   comm.phase_end();
 
   const double t_comm_in = comm.wtime();
@@ -251,24 +277,130 @@ Result run_distributed(mpi::Comm& comm, const dataio::Dataset& dataset,
 
   const double t_compute = comm.wtime();
 
-  // Combine: checksum (correctness) and the slowest rank's span via Reduce,
-  // exactly the module's MPI_Reduce step.
-  comm.phase_begin("combine");
-  double local_checksum = 0.0;
-  for (const double v : block) local_checksum += v;
-  double checksum = 0.0;
-  comm.reduce(std::span<const double>(&local_checksum, 1),
-              std::span<double>(&checksum, 1), mpi::ops::Sum{}, 0);
-  const double my_total = comm.wtime() - t0;
-  double slowest = 0.0;
-  comm.reduce(std::span<const double>(&my_total, 1),
-              std::span<double>(&slowest, 1), mpi::ops::Max{}, 0);
-
-  result.checksum = comm.bcast_value(checksum, 0);
-  result.sim_time = comm.bcast_value(slowest, 0);
-  comm.phase_end();
+  // Combine: checksum (correctness) over the block in row-major order and
+  // the slowest rank's span.
+  combine(comm, std::accumulate(block.begin(), block.end(), 0.0), t0,
+          std::nullopt, result);
   result.comm_time = t_comm_in - t0;
   result.compute_time = t_compute - t_comm_in;
+  return result;
+}
+
+// Out of core: the dataset streams from disk through the nonblocking-
+// broadcast rotation instead of being held resident everywhere.  Two
+// sweeps over the chunk file:
+//
+//   1. distribute — rank 0 reads each chunk and Scatterv's the slices to
+//      the owning ranks (the streamed stand-in for the in-core Scatterv;
+//      every byte travels once, unlike a broadcast, so this sweep costs
+//      1/p of the compute sweep's traffic);
+//   2. compute — each chunk is a tile of partner points: every local row
+//      computes its distances against the resident chunk, filling the
+//      column stripe of the output block.
+//
+// Each pair (i, j) goes through the same dispatched kernel as the in-core
+// path, and the shared combine sums the materialized block in the same
+// row-major order, so the result is bit-identical to run_distributed —
+// the determinism tests pin exactly that.
+Result run_streamed(mpi::Comm& comm, const std::string& chunk_path,
+                    const Config& config, const StreamConfig& stream) {
+  DIPDC_REQUIRE(!config.symmetric &&
+                    config.distribution == RowDistribution::kBlock &&
+                    !config.trace_cache,
+                "run_streamed supports the base configuration: block rows, "
+                "full matrix, no cache tracing");
+  const int p = comm.size();
+  const int r = comm.rank();
+
+  std::unique_ptr<dataio::ChunkReader> reader;
+  if (r == 0) reader = std::make_unique<dataio::ChunkReader>(chunk_path);
+  const dataio::ChunkFileInfo geo =
+      streaming::bcast_geometry(comm, reader.get());
+  const std::size_t dim = geo.dim;
+  const std::size_t n = geo.total_rows;
+  DIPDC_REQUIRE(n > 0 && dim > 0, "dataset must be non-empty");
+
+  Result result;
+  result.n = n;
+  result.dim = dim;
+
+  const auto parts = dataio::block_partition(n, static_cast<std::size_t>(p));
+  const auto [row_begin, row_end] = parts[static_cast<std::size_t>(r)];
+  const std::size_t my_rows = row_end - row_begin;
+
+  const double t0 = comm.wtime();
+
+  // Sweep 1 — distribute: rank 0 reads each chunk and scatters its row
+  // slices straight to the owners.  The root's read-ahead (overlap mode)
+  // hides chunk k+1's disk time behind chunk k's Scatterv.
+  std::vector<double> my_points(my_rows * dim);
+  std::vector<double> chunk;
+  std::vector<std::size_t> counts(static_cast<std::size_t>(p));
+  std::vector<std::size_t> displs(static_cast<std::size_t>(p));
+  std::size_t filled = 0;  // doubles of my_points received so far
+  for (std::size_t k = 0; k < geo.num_chunks(); ++k) {
+    if (r == 0) streaming::read_chunk(comm, *reader, k, stream.overlap, chunk);
+    const std::size_t cb = k * geo.chunk_rows;            // first row
+    const std::size_t ce = cb + geo.rows_in_chunk(k);     // past-last row
+    for (std::size_t m = 0; m < static_cast<std::size_t>(p); ++m) {
+      const std::size_t lo = std::max(cb, parts[m].first);
+      const std::size_t hi = std::min(ce, parts[m].second);
+      counts[m] = lo < hi ? (hi - lo) * dim : 0;
+      displs[m] = lo < hi ? (lo - cb) * dim : 0;
+    }
+    comm.phase_begin("stream_comm");
+    comm.scatterv(std::span<const double>(chunk),
+                  std::span<const std::size_t>(counts),
+                  std::span<const std::size_t>(displs),
+                  std::span<double>(my_points.data() + filled,
+                                    counts[static_cast<std::size_t>(r)]),
+                  0);
+    comm.phase_end();
+    filled += counts[static_cast<std::size_t>(r)];
+  }
+  DIPDC_REQUIRE(filled == my_rows * dim, "distribution sweep lost rows");
+  const double t_distributed = comm.wtime();
+
+  // Sweep 2 — compute: each chunk is a resident tile of partner points.
+  if (r == 0) reader->reset();
+  std::vector<double> block(my_rows * n);
+  const kernels::Isa isa = kernels::resolve(config.kernel);
+  double compute_sim = 0.0;
+  streaming::chunk_sweep(
+      comm, reader.get(), geo, stream.overlap,
+      [&](std::size_t k, std::span<const double> values) {
+        const std::size_t cb = k * geo.chunk_rows;
+        const std::size_t rows_k = values.size() / dim;
+        const double t_in = comm.wtime();
+        for (std::size_t rr = 0; rr < my_rows; ++rr) {
+          kernels::distance_row(isa, my_points.data() + rr * dim,
+                                values.data(), dim, 0, rows_k,
+                                block.data() + rr * n + cb);
+        }
+        // Charge the machine model chunk by chunk: the flops are exact;
+        // the DRAM traffic is the tiled estimate's share for this tile
+        // (streaming over chunks *is* j-tiling with tile = chunk_rows).
+        const double share =
+            static_cast<double>(rows_k) / static_cast<double>(n);
+        comm.sim_compute(
+            block_flops(my_rows, rows_k, dim),
+            share * estimated_traffic_tiled(my_rows, n, dim, geo.chunk_rows,
+                                            config.cache.size_bytes));
+        compute_sim += comm.wtime() - t_in;
+      });
+  result.dram_bytes = estimated_traffic_tiled(my_rows, n, dim,
+                                              geo.chunk_rows,
+                                              config.cache.size_bytes);
+
+  // Combine — the in-core path's, over the same row-major block.
+  combine(comm, std::accumulate(block.begin(), block.end(), 0.0), t0,
+          std::nullopt, result);
+
+  // The distribute sweep is all communication; the compute sweep splits
+  // into kernel time (measured around the consume) and the transfers.
+  result.compute_time = compute_sim;
+  result.comm_time = (t_distributed - t0) +
+                     ((comm.wtime() - t_distributed) - compute_sim);
   return result;
 }
 

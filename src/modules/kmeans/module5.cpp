@@ -111,6 +111,151 @@ bool unpack_state(std::span<const std::byte> blob, std::uint64_t* next_iter,
   return true;
 }
 
+/// The distributed Lloyd iteration, written once for both drivers.
+/// distributed() and elastic() differ only in where the points live (a
+/// static Scatterv block or an elastic container) and in how they recover,
+/// so each driver hands step() its local rows, the Gatherv layout of one
+/// entry per point (every rank's count and first global index) and the
+/// rank holding the full dataset; the assign and update phases, and the
+/// closing reductions, are the same code on both paths.
+class Lloyd {
+ public:
+  Lloyd(const dataio::Dataset& dataset, const Config& config)
+      : dataset_(dataset),
+        config_(config),
+        isa_(kernels::resolve(config.kernel)) {}
+
+  /// Broadcasts the root's shape: sets `dim`, returns the point count.
+  std::size_t bcast_shape(mpi::Comm& comm) {
+    std::size_t shape[2] = {dataset_.size(), dataset_.dim()};
+    comm.bcast(std::span<std::size_t>(shape, 2), 0);
+    DIPDC_REQUIRE(config_.k > 0 && config_.k <= shape[0],
+                  "need 1 <= k <= n");
+    dim = shape[1];
+    return shape[0];
+  }
+
+  /// Seeds the centroids on `root`, which holds the dataset, and
+  /// broadcasts them.
+  void bcast_initial_centroids(mpi::Comm& comm, int root) {
+    centroids.assign(config_.k * dim, 0.0);
+    if (comm.rank() == root) {
+      centroids = initial_centroids(dataset_, config_, isa_);
+    }
+    comm.bcast(std::span<double>(centroids), root);
+  }
+
+  /// Nearest-centroid assignment of `points` (the fused dispatched
+  /// assign+accumulate kernel); returns the per-centroid sums and counts
+  /// packed as [k*dim sums | k counts].
+  std::vector<double> assign(std::span<const double> points) {
+    const std::size_t k = config_.k;
+    assignment.resize(points.size() / dim);
+    std::vector<double> sums(k * dim + k, 0.0);
+    kernels::assign_points(isa_, points.data(), assignment.size(), dim,
+                           centroids.data(), k, assignment.data(),
+                           sums.data(), sums.data() + k * dim);
+    return sums;
+  }
+
+  /// One iteration: assign the local points, then update the centroids
+  /// with the configured strategy.  Returns the centroid movement, the
+  /// same on every rank.
+  double step(mpi::Comm& comm, std::span<const double> points,
+              std::span<const std::size_t> counts,
+              std::span<const std::size_t> displs, int data_root) {
+    const std::size_t k = config_.k;
+    comm.phase_begin("assign");
+    const std::vector<double> local = assign(points);
+    charge_assignment(comm, assignment.size(), k, dim);
+    comm.phase_end();
+
+    // Centroid update: the module's two communication options.
+    comm.phase_begin("update");
+    const double t_comm = comm.wtime();
+    double movement = 0.0;
+    if (config_.strategy == Strategy::kWeightedMeans) {
+      std::vector<double> global_sums(k * dim, 0.0);
+      std::vector<double> global_counts(k, 0.0);
+      comm.allreduce(std::span<const double>(local.data(), k * dim),
+                     std::span<double>(global_sums), mpi::ops::Sum{});
+      comm.allreduce(std::span<const double>(local.data() + k * dim, k),
+                     std::span<double>(global_counts), mpi::ops::Sum{});
+      movement = kernels::update_centroids(isa_, centroids.data(),
+                                           global_sums.data(),
+                                           global_counts.data(), k, dim);
+    } else {
+      // Explicit assignments: gather every rank's assignment vector to the
+      // data root, which owns the full dataset and recomputes the
+      // centroids.
+      if (data_root < 0) {
+        throw mpi::RankFailedError(
+            "module5 elastic: the dataset holder died; "
+            "explicit-assignments cannot continue");
+      }
+      const bool root = comm.rank() == data_root;
+      const std::size_t n = root ? dataset_.size() : 0;
+      std::vector<std::size_t> all_assignments(n);
+      comm.gatherv(std::span<const std::size_t>(assignment), counts, displs,
+                   std::span<std::size_t>(all_assignments), data_root);
+      if (root) {
+        std::vector<double> root_sums(k * dim, 0.0);
+        std::vector<double> root_counts(k, 0.0);
+        for (std::size_t i = 0; i < n; ++i) {
+          const std::size_t c = all_assignments[i];
+          DIPDC_REQUIRE(c < k, "corrupt assignment index");
+          for (std::size_t j = 0; j < dim; ++j) {
+            root_sums[c * dim + j] += dataset_.point(i)[j];
+          }
+          root_counts[c] += 1.0;
+        }
+        movement = kernels::update_centroids(isa_, centroids.data(),
+                                             root_sums.data(),
+                                             root_counts.data(), k, dim);
+      }
+      comm.bcast(std::span<double>(centroids), data_root);
+      movement = comm.bcast_value(movement, data_root);
+    }
+    comm.phase_end();
+    comm_marks += comm.wtime() - t_comm;
+    return movement;
+  }
+
+  /// Closing reductions: inertia of `points` against `assignment`, the
+  /// slowest rank's span since `t0`, and the transport bytes sent since
+  /// `transport_before`, summed over the ranks.
+  void finish(mpi::Comm& comm, std::span<const double> points, double t0,
+              std::uint64_t transport_before, Result& result) const {
+    result.centroids = centroids;
+    double local_inertia = 0.0;
+    for (std::size_t i = 0; i < assignment.size(); ++i) {
+      local_inertia += kernels::squared_distance(
+          isa_, points.data() + i * dim,
+          centroids.data() + assignment[i] * dim, dim);
+    }
+    result.inertia = comm.allreduce_value(local_inertia, mpi::ops::Sum{});
+
+    const double my_total = comm.wtime() - t0;
+    result.sim_time = comm.allreduce_value(my_total, mpi::ops::Max{});
+    result.comm_time = comm_marks;
+    result.compute_time = my_total - comm_marks;
+    const std::uint64_t transport_delta =
+        comm.stats().transport_bytes_sent - transport_before;
+    result.comm_bytes = static_cast<std::uint64_t>(comm.allreduce_value(
+        static_cast<long long>(transport_delta), mpi::ops::Sum{}));
+  }
+
+  std::size_t dim = 0;
+  std::vector<double> centroids;        // k x dim, replicated on every rank
+  std::vector<std::size_t> assignment;  // nearest centroid per local point
+  double comm_marks = 0.0;              // accumulated communication time
+
+ private:
+  const dataio::Dataset& dataset_;
+  const Config& config_;
+  kernels::Isa isa_;
+};
+
 }  // namespace
 
 Result lloyd_sequential(const dataio::Dataset& dataset, const Config& config) {
@@ -150,115 +295,41 @@ Result lloyd_sequential(const dataio::Dataset& dataset, const Config& config) {
 
 Result distributed(mpi::Comm& comm, const dataio::Dataset& dataset,
                    const Config& config) {
-  const int p = comm.size();
-  const int r = comm.rank();
-  const std::size_t k = config.k;
-  const kernels::Isa isa = kernels::resolve(config.kernel);
+  const auto np = static_cast<std::size_t>(comm.size());
+  Lloyd lloyd(dataset, config);
 
   const double t0 = comm.wtime();
-  double comm_marks = 0.0;  // accumulated communication-phase time
 
   // Distribute the data: shape, row blocks, initial centroids.
   comm.phase_begin("distribute");
-  std::size_t shape[2] = {dataset.size(), dataset.dim()};
-  comm.bcast(std::span<std::size_t>(shape, 2), 0);
-  const std::size_t n = shape[0];
-  const std::size_t dim = shape[1];
-  DIPDC_REQUIRE(k > 0 && k <= n, "need 1 <= k <= n");
-
-  const auto parts = dataio::block_partition(n, static_cast<std::size_t>(p));
-  std::vector<std::size_t> counts_elems(static_cast<std::size_t>(p));
-  std::vector<std::size_t> displs(static_cast<std::size_t>(p));
-  for (int i = 0; i < p; ++i) {
-    const auto& [b, e] = parts[static_cast<std::size_t>(i)];
-    counts_elems[static_cast<std::size_t>(i)] = (e - b) * dim;
-    displs[static_cast<std::size_t>(i)] = b * dim;
+  const std::size_t n = lloyd.bcast_shape(comm);
+  const std::size_t dim = lloyd.dim;
+  // One block layout in two units: doubles for the Scatterv of the rows,
+  // points for the explicit strategy's Gatherv of the assignments.
+  const auto parts = dataio::block_partition(n, np);
+  std::vector<std::size_t> counts(np), displs(np), elems(np), elem_displs(np);
+  for (std::size_t i = 0; i < np; ++i) {
+    counts[i] = parts[i].second - parts[i].first;
+    displs[i] = parts[i].first;
+    elems[i] = counts[i] * dim;
+    elem_displs[i] = displs[i] * dim;
   }
-  const auto [my_begin, my_end] = parts[static_cast<std::size_t>(r)];
-  const std::size_t my_n = my_end - my_begin;
-  std::vector<double> local((my_end - my_begin) * dim);
-  comm.scatterv(dataset.values(), std::span<const std::size_t>(counts_elems),
-                std::span<const std::size_t>(displs),
+  std::vector<double> local(elems[static_cast<std::size_t>(comm.rank())]);
+  comm.scatterv(dataset.values(), std::span<const std::size_t>(elems),
+                std::span<const std::size_t>(elem_displs),
                 std::span<double>(local), 0);
-
-  Result result;
-  result.centroids.assign(k * dim, 0.0);
-  if (r == 0) {
-    result.centroids = initial_centroids(dataset, config, isa);
-  }
-  comm.bcast(std::span<double>(result.centroids), 0);
+  lloyd.bcast_initial_centroids(comm, 0);
   comm.phase_end();
-  comm_marks += comm.wtime() - t0;
+  lloyd.comm_marks += comm.wtime() - t0;
 
   // Byte accounting starts after the one-time data distribution, so
   // comm_bytes isolates the per-iteration cost the two strategies differ
   // in (the module's communication-volume comparison).
   const std::uint64_t transport_before = comm.stats().transport_bytes_sent;
 
-  std::vector<std::size_t> assignment(my_n, 0);
-
+  Result result;
   for (int iter = 0; iter < config.max_iterations; ++iter) {
-    // Assignment phase (pure local compute): the fused dispatched
-    // assign+accumulate kernel.
-    comm.phase_begin("assign");
-    std::vector<double> sums(k * dim, 0.0);
-    std::vector<double> member_counts(k, 0.0);
-    kernels::assign_points(isa, local.data(), my_n, dim,
-                           result.centroids.data(), k, assignment.data(),
-                           sums.data(), member_counts.data());
-    charge_assignment(comm, my_n, k, dim);
-    comm.phase_end();
-
-    // Centroid update: the module's two communication options.
-    comm.phase_begin("update");
-    const double t_comm = comm.wtime();
-    double movement = 0.0;
-    if (config.strategy == Strategy::kWeightedMeans) {
-      std::vector<double> global_sums(k * dim, 0.0);
-      std::vector<double> global_counts(k, 0.0);
-      comm.allreduce(std::span<const double>(sums),
-                     std::span<double>(global_sums), mpi::ops::Sum{});
-      comm.allreduce(std::span<const double>(member_counts),
-                     std::span<double>(global_counts), mpi::ops::Sum{});
-      movement = kernels::update_centroids(isa, result.centroids.data(),
-                                           global_sums.data(),
-                                           global_counts.data(), k, dim);
-    } else {
-      // Explicit assignments: gather every rank's assignment vector to the
-      // root, which owns the full dataset and recomputes the centroids.
-      std::vector<std::size_t> gcounts(static_cast<std::size_t>(p));
-      std::vector<std::size_t> gdispls(static_cast<std::size_t>(p));
-      for (int i = 0; i < p; ++i) {
-        const auto& [b, e] = parts[static_cast<std::size_t>(i)];
-        gcounts[static_cast<std::size_t>(i)] = e - b;
-        gdispls[static_cast<std::size_t>(i)] = b;
-      }
-      std::vector<std::size_t> all_assignments(r == 0 ? n : 0);
-      comm.gatherv(std::span<const std::size_t>(assignment),
-                   std::span<const std::size_t>(gcounts),
-                   std::span<const std::size_t>(gdispls),
-                   std::span<std::size_t>(all_assignments), 0);
-      if (r == 0) {
-        std::vector<double> root_sums(k * dim, 0.0);
-        std::vector<double> root_counts(k, 0.0);
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::size_t c = all_assignments[i];
-          DIPDC_REQUIRE(c < k, "corrupt assignment index");
-          for (std::size_t j = 0; j < dim; ++j) {
-            root_sums[c * dim + j] += dataset.point(i)[j];
-          }
-          root_counts[c] += 1.0;
-        }
-        movement = kernels::update_centroids(isa, result.centroids.data(),
-                                             root_sums.data(),
-                                             root_counts.data(), k, dim);
-      }
-      comm.bcast(std::span<double>(result.centroids), 0);
-      movement = comm.bcast_value(movement, 0);
-    }
-    comm.phase_end();
-    comm_marks += comm.wtime() - t_comm;
-
+    const double movement = lloyd.step(comm, local, counts, displs, 0);
     result.iterations = iter + 1;
     if (movement <= config.tolerance) {
       result.converged = true;
@@ -266,31 +337,14 @@ Result distributed(mpi::Comm& comm, const dataio::Dataset& dataset,
     }
   }
 
-  // Final inertia over the last assignment.
-  double local_inertia = 0.0;
-  for (std::size_t i = 0; i < my_n; ++i) {
-    local_inertia += kernels::squared_distance(
-        isa, local.data() + i * dim,
-        result.centroids.data() + assignment[i] * dim, dim);
-  }
-  result.inertia = comm.allreduce_value(local_inertia, mpi::ops::Sum{});
-
-  const double my_total = comm.wtime() - t0;
-  result.sim_time = comm.allreduce_value(my_total, mpi::ops::Max{});
-  result.comm_time = comm_marks;
-  result.compute_time = my_total - comm_marks;
-  const std::uint64_t transport_delta =
-      comm.stats().transport_bytes_sent - transport_before;
-  result.comm_bytes = static_cast<std::uint64_t>(comm.allreduce_value(
-      static_cast<long long>(transport_delta), mpi::ops::Sum{}));
+  // Inertia over the last assignment.
+  lloyd.finish(comm, local, t0, transport_before, result);
   return result;
 }
 
 Result elastic(mpi::Comm& world, const dataio::Dataset& dataset,
                const Config& config, const ElasticConfig& elastic) {
   namespace box = dipdc::container;
-  const std::size_t k = config.k;
-  const kernels::Isa isa = kernels::resolve(config.kernel);
   mpi::Comm* comm = &world;
   // Shrunken communicators must outlive the container (it keeps a pointer
   // to the communicator it was recovered onto).
@@ -305,17 +359,13 @@ Result elastic(mpi::Comm& world, const dataio::Dataset& dataset,
     }
     return -1;
   };
+  Lloyd lloyd(dataset, config);
 
   const double t0 = world.wtime();
-  double comm_marks = 0.0;
   std::uint64_t transport_before = world.stats().transport_bytes_sent;
 
   std::optional<box::Container<double>> pts;
-  std::size_t n = 0;
-  std::size_t dim = 0;
-  std::vector<double> centroids;
   std::uint64_t start_iter = 0;
-  std::vector<std::size_t> assignment;
   std::vector<std::size_t> prev_assignment;
   Result result;
 
@@ -324,25 +374,17 @@ Result elastic(mpi::Comm& world, const dataio::Dataset& dataset,
       if (!pts) {
         comm->phase_begin("distribute");
         const double t_comm = comm->wtime();
-        std::size_t shape[2] = {dataset.size(), dataset.dim()};
-        comm->bcast(std::span<std::size_t>(shape, 2), 0);
-        n = shape[0];
-        dim = shape[1];
-        DIPDC_REQUIRE(k > 0 && k <= n, "need 1 <= k <= n");
+        const std::size_t n = lloyd.bcast_shape(*comm);
         std::vector<double> source;
         if (comm->rank() == 0) {
           source.assign(dataset.values().begin(), dataset.values().end());
         }
         pts.emplace(box::Container<double>::scatter(*comm, std::move(source),
-                                                    n, dim));
-        centroids.assign(k * dim, 0.0);
-        if (comm->rank() == 0) {
-          centroids = initial_centroids(dataset, config, isa);
-        }
-        comm->bcast(std::span<double>(centroids), 0);
+                                                    n, lloyd.dim));
+        lloyd.bcast_initial_centroids(*comm, 0);
         comm->phase_end();
-        comm_marks += comm->wtime() - t_comm;
-        pts->checkpoint(pack_state(0, centroids));
+        lloyd.comm_marks += comm->wtime() - t_comm;
+        pts->checkpoint(pack_state(0, lloyd.centroids));
         start_iter = 0;
         // Byte accounting starts after the one-time distribution, matching
         // distributed(); recovery traffic after a kill does count.
@@ -351,78 +393,22 @@ Result elastic(mpi::Comm& world, const dataio::Dataset& dataset,
 
       for (std::uint64_t iter = start_iter;
            iter < static_cast<std::uint64_t>(config.max_iterations); ++iter) {
-        const std::size_t my_n = pts->count();
-        comm->phase_begin("assign");
-        assignment.assign(my_n, 0);
-        std::vector<double> sums(k * dim, 0.0);
-        std::vector<double> member_counts(k, 0.0);
-        kernels::assign_points(isa, pts->local().data(), my_n, dim,
-                               centroids.data(), k, assignment.data(),
-                               sums.data(), member_counts.data());
-        charge_assignment(*comm, my_n, k, dim);
-        comm->phase_end();
-
-        comm->phase_begin("update");
-        const double t_comm = comm->wtime();
-        double movement = 0.0;
-        if (config.strategy == Strategy::kWeightedMeans) {
-          std::vector<double> global_sums(k * dim, 0.0);
-          std::vector<double> global_counts(k, 0.0);
-          comm->allreduce(std::span<const double>(sums),
-                          std::span<double>(global_sums), mpi::ops::Sum{});
-          comm->allreduce(std::span<const double>(member_counts),
-                          std::span<double>(global_counts), mpi::ops::Sum{});
-          movement =
-              kernels::update_centroids(isa, centroids.data(),
-                                        global_sums.data(),
-                                        global_counts.data(), k, dim);
-        } else {
-          // Explicit assignments need the full dataset, which only the
-          // original root holds.
-          const int data_root = data_root_on(*comm);
-          if (data_root < 0) {
-            throw mpi::RankFailedError(
-                "module5 elastic: the dataset holder died; "
-                "explicit-assignments cannot continue");
-          }
-          const box::Partitioning& part = pts->partitioning();
-          const int p = comm->size();
-          std::vector<std::size_t> gcounts(static_cast<std::size_t>(p));
-          std::vector<std::size_t> gdispls(static_cast<std::size_t>(p));
-          for (int i = 0; i < p; ++i) {
-            gcounts[static_cast<std::size_t>(i)] = part.count(i);
-            gdispls[static_cast<std::size_t>(i)] = part.begin(i);
-          }
-          std::vector<std::size_t> all_assignments(
-              comm->rank() == data_root ? n : 0);
-          comm->gatherv(std::span<const std::size_t>(assignment), gcounts,
-                        gdispls, std::span<std::size_t>(all_assignments),
-                        data_root);
-          if (comm->rank() == data_root) {
-            std::vector<double> root_sums(k * dim, 0.0);
-            std::vector<double> root_counts(k, 0.0);
-            for (std::size_t i = 0; i < n; ++i) {
-              const std::size_t c = all_assignments[i];
-              DIPDC_REQUIRE(c < k, "corrupt assignment index");
-              for (std::size_t j = 0; j < dim; ++j) {
-                root_sums[c * dim + j] += dataset.point(i)[j];
-              }
-              root_counts[c] += 1.0;
-            }
-            movement = kernels::update_centroids(isa, centroids.data(),
-                                                 root_sums.data(),
-                                                 root_counts.data(), k, dim);
-          }
-          comm->bcast(std::span<double>(centroids), data_root);
-          movement = comm->bcast_value(movement, data_root);
+        const box::Partitioning& part = pts->partitioning();
+        const int p = comm->size();
+        std::vector<std::size_t> counts(static_cast<std::size_t>(p));
+        std::vector<std::size_t> displs(static_cast<std::size_t>(p));
+        for (int i = 0; i < p; ++i) {
+          counts[static_cast<std::size_t>(i)] = part.count(i);
+          displs[static_cast<std::size_t>(i)] = part.begin(i);
         }
-        comm->phase_end();
-        comm_marks += comm->wtime() - t_comm;
-
+        const double movement = lloyd.step(*comm, pts->local(), counts,
+                                           displs, data_root_on(*comm));
         result.iterations = static_cast<int>(iter) + 1;
 
         // Churn weights feed the next rebalance AND the checkpoint, so a
         // post-failure re-cut balances by the same measure.
+        const std::vector<std::size_t>& assignment = lloyd.assignment;
+        const std::size_t my_n = assignment.size();
         std::vector<double> churn(my_n, 2.0);
         if (prev_assignment.size() == my_n) {
           for (std::size_t i = 0; i < my_n; ++i) {
@@ -430,7 +416,7 @@ Result elastic(mpi::Comm& world, const dataio::Dataset& dataset,
           }
         }
         pts->set_weights(churn);
-        pts->checkpoint(pack_state(iter + 1, centroids));
+        pts->checkpoint(pack_state(iter + 1, lloyd.centroids));
 
         if (movement <= config.tolerance) {
           result.converged = true;
@@ -467,53 +453,24 @@ Result elastic(mpi::Comm& world, const dataio::Dataset& dataset,
       }
       const std::vector<std::byte> blob = pts->recover(*comm);
       std::uint64_t next_iter = 0;
-      if (unpack_state(blob, &next_iter, &centroids) &&
-          centroids.size() == k * dim) {
+      if (unpack_state(blob, &next_iter, &lloyd.centroids) &&
+          lloyd.centroids.size() == config.k * lloyd.dim) {
         start_iter = next_iter;
       } else {
         // Rebuilt from the source: iteration state restarts from scratch.
         const int data_root = data_root_on(*comm);
         DIPDC_REQUIRE(data_root >= 0,
                       "module5 elastic: source rebuild without the holder");
-        centroids.assign(k * dim, 0.0);
-        if (comm->rank() == data_root) {
-          centroids = initial_centroids(dataset, config, isa);
-        }
-        comm->bcast(std::span<double>(centroids), data_root);
+        lloyd.bcast_initial_centroids(*comm, data_root);
         start_iter = 0;
       }
     }
   }
 
-  result.centroids = centroids;
-
-  // Final inertia: recompute the assignment — the last stored one may
-  // predate a rebalance.
-  const std::size_t my_n = pts->count();
-  assignment.assign(my_n, 0);
-  {
-    std::vector<double> dummy_sums(k * dim, 0.0);
-    std::vector<double> dummy_counts(k, 0.0);
-    kernels::assign_points(isa, pts->local().data(), my_n, dim,
-                           centroids.data(), k, assignment.data(),
-                           dummy_sums.data(), dummy_counts.data());
-  }
-  double local_inertia = 0.0;
-  for (std::size_t i = 0; i < my_n; ++i) {
-    local_inertia += kernels::squared_distance(
-        isa, pts->local().data() + i * dim,
-        centroids.data() + assignment[i] * dim, dim);
-  }
-  result.inertia = comm->allreduce_value(local_inertia, mpi::ops::Sum{});
-
-  const double my_total = comm->wtime() - t0;
-  result.sim_time = comm->allreduce_value(my_total, mpi::ops::Max{});
-  result.comm_time = comm_marks;
-  result.compute_time = my_total - comm_marks;
-  const std::uint64_t transport_delta =
-      comm->stats().transport_bytes_sent - transport_before;
-  result.comm_bytes = static_cast<std::uint64_t>(comm->allreduce_value(
-      static_cast<long long>(transport_delta), mpi::ops::Sum{}));
+  // Inertia: recompute the assignment against the final centroids — the
+  // last stored one may predate a rebalance.
+  lloyd.assign(pts->local());
+  lloyd.finish(*comm, pts->local(), t0, transport_before, result);
   return result;
 }
 

@@ -3,13 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <deque>
+#include <functional>
 #include <limits>
+#include <memory>
 #include <optional>
+#include <span>
 
 #include "container/container.hpp"
+#include "dataio/chunk.hpp"
 #include "kernels/sort.hpp"
 #include "minimpi/error.hpp"
 #include "minimpi/ops.hpp"
+#include "modules/stream_sweep.hpp"
 #include "support/error.hpp"
 
 namespace dipdc::modules::distsort {
@@ -120,12 +125,83 @@ T reduce_to_all(mpi::Comm& comm, T value, Op op) {
   return comm.bcast_value(out, 0);
 }
 
+/// Everything after the exchange, shared by the in-core and streamed
+/// drivers: the local sort of this rank's bucket (in place), the
+/// verification (counts preserved, every rank sorted, bucket fronts
+/// ordered across ranks), the load-balance metrics and the slowest rank's
+/// span since `t0`.  `global_in()` yields the element count the exchange
+/// had to preserve; it runs right after the sort, which is where the
+/// in-core driver reduces its input counts.
+Result sort_and_verify(mpi::Comm& comm, std::vector<double>& bucket,
+                       double t0,
+                       const std::function<long long()>& global_in,
+                       Result result) {
+  const auto np = static_cast<std::size_t>(comm.size());
+  const double t_exchanged = comm.wtime();
+
+  // Local sort.  Cost model: comparison sort is memory-bound — per element
+  // roughly 2*log2(n) flop-equivalents against 8*log2(n) bytes of traffic
+  // (multiple passes over a working set that exceeds cache).
+  comm.phase_begin("local_sort");
+  std::sort(bucket.begin(), bucket.end());
+  const double nlogn =
+      static_cast<double>(bucket.size()) * log2_safe(bucket.size());
+  comm.sim_compute(2.0 * nlogn, 8.0 * nlogn);
+  comm.phase_end();
+  const double t_sorted = comm.wtime();
+
+  const long long expected = global_in();
+  const long long global_out = reduce_to_all(
+      comm, static_cast<long long>(bucket.size()), mpi::ops::Sum{});
+  const bool locally_sorted = std::is_sorted(bucket.begin(), bucket.end());
+
+  // Boundary check: my smallest element must not precede any lower rank's
+  // largest.  Gather (min, max) pairs and check on the root.
+  const double lowest = std::numeric_limits<double>::lowest();
+  const double pair[2] = {bucket.empty() ? lowest : bucket.front(),
+                          bucket.empty() ? lowest : bucket.back()};
+  std::vector<double> fronts(2 * np);
+  comm.gather(std::span<const double>(pair, 2), std::span<double>(fronts), 0);
+  bool boundaries_ok = true;
+  if (comm.rank() == 0) {
+    double prev_max = lowest;
+    for (std::size_t i = 0; i < np; ++i) {
+      const double imn = fronts[2 * i];
+      const double imx = fronts[2 * i + 1];
+      if (imn == lowest && imx == lowest) continue;  // empty bucket
+      if (imn < prev_max) boundaries_ok = false;
+      prev_max = imx;
+    }
+  }
+  boundaries_ok = comm.bcast_value(boundaries_ok, 0);
+
+  const char all_ok = static_cast<char>(locally_sorted && boundaries_ok &&
+                                        global_out == expected);
+  result.globally_sorted =
+      reduce_to_all(comm, all_ok, mpi::ops::LogicalAnd{}) != 0;
+
+  // Load-balance metrics.
+  const auto my_count = static_cast<long long>(bucket.size());
+  const long long max_count = reduce_to_all(comm, my_count, mpi::ops::Max{});
+  result.total_elements = static_cast<std::size_t>(global_out);
+  result.local_elements = bucket.size();
+  const double mean_count =
+      static_cast<double>(global_out) / static_cast<double>(np);
+  result.imbalance =
+      mean_count > 0.0 ? static_cast<double>(max_count) / mean_count : 1.0;
+
+  const double my_total = comm.wtime() - t0;
+  result.sim_time = reduce_to_all(comm, my_total, mpi::ops::Max{});
+  result.exchange_time = t_exchanged - t0;
+  result.sort_time = t_sorted - t_exchanged;
+  return result;
+}
+
 }  // namespace
 
 Result distributed_bucket_sort(mpi::Comm& comm, std::vector<double>& local,
                                const Config& config) {
-  const int p = comm.size();
-  const auto np = static_cast<std::size_t>(p);
+  const auto np = static_cast<std::size_t>(comm.size());
   Result result;
 
   const double t0 = comm.wtime();
@@ -178,75 +254,73 @@ Result distributed_bucket_sort(mpi::Comm& comm, std::vector<double>& local,
   result.exchange_bytes =
       static_cast<std::uint64_t>(send_buf.size() * sizeof(double));
   comm.phase_end();
-  const double t_exchanged = comm.wtime();
 
-  // Local sort.  Cost model: comparison sort is memory-bound — per element
-  // roughly 2*log2(n) flop-equivalents against 8*log2(n) bytes of traffic
-  // (multiple passes over a working set that exceeds cache).
-  comm.phase_begin("local_sort");
-  std::sort(bucket.begin(), bucket.end());
-  const double nlogn =
-      static_cast<double>(bucket.size()) * log2_safe(bucket.size());
-  comm.sim_compute(2.0 * nlogn, 8.0 * nlogn);
-  comm.phase_end();
-  const double t_sorted = comm.wtime();
-
-  // Verification: counts preserved, every rank sorted, bucket fronts
-  // ordered across ranks.
   const auto sent_total = static_cast<long long>(local.size());
-  const long long global_in =
-      reduce_to_all(comm, sent_total, mpi::ops::Sum{});
-  const long long global_out = reduce_to_all(
-      comm, static_cast<long long>(bucket.size()), mpi::ops::Sum{});
-  const bool locally_sorted =
-      std::is_sorted(bucket.begin(), bucket.end());
-
-  // Boundary check: my smallest element must not precede any lower rank's
-  // largest.  Gather (min, max) pairs and check on the root.
-  const double lowest = std::numeric_limits<double>::lowest();
-  double mn = bucket.empty() ? lowest : bucket.front();
-  double mx = bucket.empty() ? lowest : bucket.back();
-  std::vector<double> fronts(2 * np);
-  const double pair[2] = {mn, mx};
-  comm.gather(std::span<const double>(pair, 2), std::span<double>(fronts),
-              0);
-  bool boundaries_ok = true;
-  if (comm.rank() == 0) {
-    double prev_max = lowest;
-    for (std::size_t i = 0; i < np; ++i) {
-      const double imn = fronts[2 * i];
-      const double imx = fronts[2 * i + 1];
-      if (imn == lowest && imx == lowest) continue;  // empty bucket
-      if (imn < prev_max) boundaries_ok = false;
-      prev_max = imx;
-    }
-  }
-  boundaries_ok = comm.bcast_value(boundaries_ok, 0);
-
-  const char all_ok = static_cast<char>(
-      locally_sorted && boundaries_ok && global_in == global_out);
-  result.globally_sorted =
-      reduce_to_all(comm, all_ok, mpi::ops::LogicalAnd{}) != 0;
-
-  // Load-balance metrics.
-  const auto my_count = static_cast<long long>(bucket.size());
-  const long long max_count =
-      reduce_to_all(comm, my_count, mpi::ops::Max{});
-  result.total_elements = static_cast<std::size_t>(global_out);
-  result.local_elements = bucket.size();
-  const double mean_count =
-      static_cast<double>(global_out) / static_cast<double>(p);
-  result.imbalance =
-      mean_count > 0.0 ? static_cast<double>(max_count) / mean_count : 1.0;
-
-  const double my_total = comm.wtime() - t0;
-  const double slowest = reduce_to_all(comm, my_total, mpi::ops::Max{});
-  result.sim_time = slowest;
-  result.exchange_time = t_exchanged - t0;
-  result.sort_time = t_sorted - t_exchanged;
-
   local = std::move(bucket);
-  return result;
+  return sort_and_verify(
+      comm, local, t0,
+      [&] { return reduce_to_all(comm, sent_total, mpi::ops::Sum{}); },
+      result);
+}
+
+// Out of core the redistribution dissolves into the stream: every chunk
+// is broadcast past every rank, and each rank keeps exactly the keys that
+// fall into its own equal-width bucket (the same dispatched splitter-scan
+// kernel classifies them).  The bucket then goes through the same sort and
+// verification as the in-core one — the same multiset a no-streaming run
+// would have assembled, so the sorted buckets are bit-identical to the
+// in-core result however the input was split across ranks.
+Result streamed_bucket_sort(mpi::Comm& comm, const std::string& chunk_path,
+                            const Config& config, std::vector<double>& sorted,
+                            const StreamConfig& stream) {
+  DIPDC_REQUIRE(config.policy == SplitterPolicy::kEqualWidth,
+                "streamed_bucket_sort needs data-independent (equal-width) "
+                "splitters; histogram/sampling would have to see the data "
+                "before it streams");
+  const auto nr = static_cast<std::uint32_t>(comm.rank());
+  Result result;
+
+  std::unique_ptr<dataio::ChunkReader> reader;
+  if (comm.rank() == 0) {
+    reader = std::make_unique<dataio::ChunkReader>(chunk_path);
+    DIPDC_REQUIRE(reader->dim() == 1, "key files are 1-dimensional rows");
+  }
+  const dataio::ChunkFileInfo geo =
+      streaming::bcast_geometry(comm, reader.get());
+
+  const double t0 = comm.wtime();
+
+  // Splitters are a pure function of (lo, hi, p) — no data needed.
+  const std::vector<double> splitters = compute_splitters(comm, {}, config);
+
+  // Sweep — every chunk passes every rank; each keeps its bucket's keys.
+  // Classification cost matches the in-core partition pass (one streaming
+  // scan); the keeps are charged with it.
+  std::vector<double> bucket;
+  std::vector<std::uint32_t> dest;
+  const kernels::Isa isa = kernels::resolve(config.kernel);
+  streaming::chunk_sweep(
+      comm, reader.get(), geo, stream.overlap,
+      [&](std::size_t, std::span<const double> values) {
+        dest.resize(values.size());
+        kernels::bucket_indices(isa, values.data(), values.size(),
+                                splitters.data(), splitters.size(),
+                                dest.data());
+        for (std::size_t i = 0; i < values.size(); ++i) {
+          if (dest[i] == nr) bucket.push_back(values[i]);
+        }
+        comm.sim_compute(2.0 * static_cast<double>(values.size()),
+                         8.0 * static_cast<double>(values.size()));
+      });
+  // Broadcasting every chunk to every rank is what this rank shipped /
+  // received through the stream.
+  result.exchange_bytes =
+      static_cast<std::uint64_t>(geo.total_rows * sizeof(double));
+
+  sorted = std::move(bucket);
+  return sort_and_verify(
+      comm, sorted, t0,
+      [&] { return static_cast<long long>(geo.total_rows); }, result);
 }
 
 Result elastic_bucket_sort(mpi::Comm& world, std::vector<double> local,
@@ -274,11 +348,9 @@ Result elastic_bucket_sort(mpi::Comm& world, std::vector<double> local,
       // Owner-computes adoption: the exchange already moved the data; the
       // container relearns the (skewed) cuts from the new counts.
       keys->adopt(std::move(work));
-      if (elastic.rebalance) {
-        keys->rebalance(elastic.imbalance_threshold);
-        result.local_elements = keys->count();
-        result.imbalance = keys->partitioning().count_imbalance();
-      }
+      keys->rebalance(elastic.imbalance_threshold);
+      result.local_elements = keys->count();
+      result.imbalance = keys->partitioning().count_imbalance();
       if (sorted_root != nullptr) {
         const box::Partitioning& part = keys->partitioning();
         const int p = comm->size();

@@ -10,6 +10,11 @@
 //   1. uniform input, equal-width buckets            -> balanced
 //   2. exponential input, equal-width buckets        -> heavy imbalance
 //   3. exponential input, histogram-based splitters  -> balance restored
+//
+// The drivers below differ only in how keys reach their bucket owner
+// (Alltoallv in core, a chunk-stream filter out of core); the local sort,
+// the verification and the metrics are one shared tail.  The elastic
+// variant wraps the in-core driver.
 #pragma once
 
 #include <cstdint>
@@ -67,20 +72,18 @@ Result distributed_bucket_sort(minimpi::Comm& comm,
 
 /// Elastic-container variant (src/container).
 struct ElasticConfig {
-  /// Level the skewed post-exchange distribution with a unit-weight
-  /// repartition (contiguous ranges slide between neighbouring ranks, so
-  /// the global sort order is preserved).
-  bool rebalance = true;
   /// Rebalance only when max/mean bucket size exceeds this.
   double imbalance_threshold = 1.10;
 };
 
 /// Bucket sort with the keys held in an elastic container: the bucket
-/// exchange is adopted into the container, rebalancing levels the skew,
-/// and a rank kill is survived — the survivors shrink the communicator,
-/// restore the generation-0 checkpoint of the unsorted input, and redo the
-/// sort on the shrunken world.  The final global sorted sequence is
-/// bit-identical to the no-fault run.  `world` must be the communicator
+/// exchange is adopted into the container, and whenever max/mean bucket
+/// size exceeds the threshold a unit-weight repartition levels the skew
+/// (contiguous ranges slide between neighbouring ranks, so the global
+/// sort order is preserved).  A rank kill is survived — the survivors
+/// shrink the communicator, restore the generation-0 checkpoint of the
+/// unsorted input, and redo the sort on the shrunken world.  The final
+/// global sorted sequence is bit-identical to the no-fault run.  `world` must be the communicator
 /// the fault plan targets; `sorted_root` (optional) receives the full
 /// sorted array on (surviving) rank 0.
 Result elastic_bucket_sort(minimpi::Comm& world, std::vector<double> local,

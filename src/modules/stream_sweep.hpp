@@ -51,6 +51,22 @@ inline dataio::ChunkFileInfo bcast_geometry(minimpi::Comm& comm,
   return {shape[0], shape[1], shape[2]};
 }
 
+/// Rank 0's read of chunk `k` into `buf`, as the "stream_read" phase.
+/// With `overlap` the chunks must be read in order: the reader's prefetch
+/// thread has been reading chunk k since the previous handover.  Without
+/// it the read is synchronous, with no read-ahead.
+inline void read_chunk(minimpi::Comm& comm, dataio::ChunkReader& reader,
+                       std::size_t k, bool overlap, std::vector<double>& buf) {
+  comm.phase_begin("stream_read");
+  if (overlap) {
+    const std::size_t got = reader.next(buf);
+    DIPDC_REQUIRE(got == k, "chunk stream out of order");
+  } else {
+    reader.read_chunk(k, buf);
+  }
+  comm.phase_end();
+}
+
 /// Runs `consume(k, values)` on every rank for each chunk k in order,
 /// with the chunks flowing root -> everyone through the rotation above.
 /// `reader` is rank 0's open reader (nullptr elsewhere); `geo` must be
@@ -68,22 +84,9 @@ inline void chunk_sweep(
   std::vector<double> front;  // chunk being consumed
   std::vector<double> next;   // chunk in flight
 
-  auto load = [&](std::size_t k, std::vector<double>& buf) {
-    comm.phase_begin("stream_read");
-    if (overlap) {
-      // Sequential streaming: the reader's prefetch thread has been
-      // reading this chunk since the previous handover.
-      const std::size_t got = reader->next(buf);
-      DIPDC_REQUIRE(got == k, "chunk stream out of order");
-    } else {
-      reader->read_chunk(k, buf);  // synchronous, no read-ahead
-    }
-    comm.phase_end();
-  };
-
   // Prologue: chunk 0 has nothing to hide behind.
   front.resize(geo.rows_in_chunk(0) * geo.dim);
-  if (root) load(0, front);
+  if (root) read_chunk(comm, *reader, 0, overlap, front);
   comm.phase_begin("stream_comm");
   minimpi::Request req = comm.ibcast(std::span<double>(front), 0);
   comm.wait(req);
@@ -96,7 +99,7 @@ inline void chunk_sweep(
       // stages a copy (its buffer is free again at issue); a non-root's
       // posted receive fills `next` while consume() runs.
       next.resize(geo.rows_in_chunk(k + 1) * geo.dim);
-      if (root) load(k + 1, next);
+      if (root) read_chunk(comm, *reader, k + 1, overlap, next);
       comm.phase_begin("stream_comm");
       req = comm.ibcast(std::span<double>(next), 0);
       if (!overlap) comm.wait(req);

@@ -8,10 +8,13 @@
 // the compute ISA: forcing --kernel=scalar and --kernel=simd must produce
 // bit-identical module results (the canonical accumulation contract).
 // The backend-forcing boilerplate lives in run_forced.hpp, shared with
-// container_faults_test.
+// container_faults_test.  One case pins module 5's absolute values too,
+// so the shared iteration step cannot drift from the numbers it must
+// reproduce.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <span>
@@ -228,6 +231,62 @@ TEST(Determinism, Module5SimTimeAndInertiaAreTransportInvariant) {
       EXPECT_EQ(results[i].comm_bytes, results[0].comm_bytes)
           << "variant " << i;
     }
+  }
+}
+
+TEST(Determinism, Module5SharedStepReproducesPinnedStrategies) {
+  // distributed() and elastic() run both update strategies through one
+  // shared Lloyd step.  These values were recorded from the separate
+  // per-strategy loops that step replaced, so each strategy's centroids,
+  // iterations, inertia, simulated time and loop volume must come out bit
+  // for bit the same.
+  struct Pin {
+    m5::Strategy strategy;
+    int ranks;
+    int iterations;
+    double inertia;
+    double sim_time;
+    std::uint64_t comm_bytes;
+    std::vector<double> centroids;
+  };
+  const Pin pins[] = {
+      {m5::Strategy::kExplicitAssignments, 3, 10, 0x1.0705b34ecf70ap+14,
+       0x1.118849ad4b91bp-15, 33184,
+       {0x1.73a63f8f7edacp+3, 0x1.0dc6fdc983ee5p+3, 0x1.547c24d639702p+4,
+        0x1.b13fc2f88c9c4p+1, 0x1.26a3443b3e224p+4, 0x1.54d3465237462p+4}},
+      {m5::Strategy::kExplicitAssignments, 5, 10, 0x1.0705b34ecf70ap+14,
+       0x1.502bfa4a5793ep-15, 40768,
+       {0x1.73a63f8f7edacp+3, 0x1.0dc6fdc983ee5p+3, 0x1.547c24d639702p+4,
+        0x1.b13fc2f88c9c4p+1, 0x1.26a3443b3e224p+4, 0x1.54d3465237462p+4}},
+      {m5::Strategy::kWeightedMeans, 3, 10, 0x1.0705b34ecf70bp+14,
+       0x1.82cfe8300ba8ap-15, 2944,
+       {0x1.73a63f8f7edacp+3, 0x1.0dc6fdc983ee3p+3, 0x1.547c24d639705p+4,
+        0x1.b13fc2f88c9c5p+1, 0x1.26a3443b3e222p+4, 0x1.54d3465237462p+4}},
+      {m5::Strategy::kWeightedMeans, 5, 10, 0x1.0705b34ecf70ap+14,
+       0x1.442a11d182a2ap-14, 5888,
+       {0x1.73a63f8f7edadp+3, 0x1.0dc6fdc983ee4p+3, 0x1.547c24d639705p+4,
+        0x1.b13fc2f88c9c5p+1, 0x1.26a3443b3e223p+4, 0x1.54d3465237462p+4}},
+  };
+  const auto d = io::generate_clusters(600, 2, 3, 4.0, 0.0, 30.0, 41);
+  for (const Pin& pin : pins) {
+    m5::Config cfg;
+    cfg.k = 3;
+    cfg.strategy = pin.strategy;
+    const m5::Result r = run_forced(pin.ranks, {}, [&](mpi::Comm& comm) {
+      return m5::distributed(comm, comm.rank() == 0 ? d.data : io::Dataset{},
+                             cfg);
+    });
+    const std::string label =
+        std::string(pin.strategy == m5::Strategy::kWeightedMeans
+                        ? "weighted"
+                        : "explicit") +
+        " on " + std::to_string(pin.ranks) + " ranks";
+    EXPECT_TRUE(r.converged) << label;
+    EXPECT_EQ(r.iterations, pin.iterations) << label;
+    EXPECT_EQ(r.centroids, pin.centroids) << label;
+    EXPECT_EQ(r.inertia, pin.inertia) << label;
+    EXPECT_EQ(r.sim_time, pin.sim_time) << label;
+    EXPECT_EQ(r.comm_bytes, pin.comm_bytes) << label;
   }
 }
 

@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -223,6 +224,13 @@ int run_module1(const ArgParser& args, const Common& c) {
   return 0;
 }
 
+/// An option combination the chosen mode would silently ignore (or die on
+/// inside the ranks): rejected up front, before any rank starts.
+int reject(const char* why) {
+  std::fprintf(stderr, "error: %s\n", why);
+  return 2;
+}
+
 int run_module2(const ArgParser& args, const Common& c) {
   namespace m2 = dipdc::modules::distmatrix;
   const auto n = static_cast<std::size_t>(args.get_int("n", 1024));
@@ -231,30 +239,29 @@ int run_module2(const ArgParser& args, const Common& c) {
   cfg.tile = static_cast<std::size_t>(args.get_int("tile", 0));
   cfg.trace_cache = args.get_bool("trace-cache", false);
   cfg.kernel = c.kernel;
-  const auto d = io::generate_uniform(n, dim, 0.0, 1.0, c.seed);
   const StreamArgs s = stream_args(args);
-  m2::Result r;
-  mpi::RunResult result;
-  if (s.stream) {
-    const SpilledDataset spill(d, s.chunk_rows, c.seed);
-    result = mpi::run(
-        c.ranks,
-        [&](mpi::Comm& comm) {
-          const auto res =
-              m2::run_streamed(comm, spill.path, cfg, {s.overlap});
-          if (comm.rank() == 0) r = res;
-        },
-        options_for(c));
-  } else {
-    result = mpi::run(
-        c.ranks,
-        [&](mpi::Comm& comm) {
-          const auto res = m2::run_distributed(
-              comm, comm.rank() == 0 ? d : io::Dataset{}, cfg);
-          if (comm.rank() == 0) r = res;
-        },
-        options_for(c));
+  if (s.stream && args.has("tile")) {
+    return reject("--stream ignores --tile (the chunks are the tiles; size "
+                  "them with --chunk-rows)");
   }
+  if (s.stream && cfg.trace_cache) {
+    return reject("--stream cannot --trace-cache (the cache simulator "
+                  "traces the in-core kernels only)");
+  }
+  const auto d = io::generate_uniform(n, dim, 0.0, 1.0, c.seed);
+  std::optional<SpilledDataset> spill;
+  if (s.stream) spill.emplace(d, s.chunk_rows, c.seed);
+  m2::Result r;
+  const auto result = mpi::run(
+      c.ranks,
+      [&](mpi::Comm& comm) {
+        const auto res =
+            spill ? m2::run_streamed(comm, spill->path, cfg, {s.overlap})
+                  : m2::run_distributed(
+                        comm, comm.rank() == 0 ? d : io::Dataset{}, cfg);
+        if (comm.rank() == 0) r = res;
+      },
+      options_for(c));
   const std::string kernel =
       s.stream ? "streamed C=" + std::to_string(s.chunk_rows) +
                      (s.overlap ? "" : " no-overlap")
@@ -285,62 +292,61 @@ int run_module3(const ArgParser& args, const Common& c) {
   cfg.hi = 10.0;
   cfg.kernel = c.kernel;
   const bool elastic_on = args.get_bool("repartition", false);
-  const double threshold = args.get_double("imbalance-threshold", 1.10);
+  m3::ElasticConfig ecfg;
+  ecfg.imbalance_threshold = args.get_double("imbalance-threshold", 1.10);
   const StreamArgs s = stream_args(args);
-  m3::Result r;
-  mpi::RunResult result;
-  if (s.stream) {
-    if (cfg.policy != m3::SplitterPolicy::kEqualWidth) {
-      std::fprintf(stderr,
-                   "error: --stream needs --policy=width (equal-width "
-                   "splitters are the only data-independent policy)\n");
-      return 2;
-    }
-    // The same keys the in-core run would generate, spilled rank-major
-    // into a chunk file: the streamed sort buckets the identical multiset.
-    std::vector<double> keys;
-    keys.reserve(n * static_cast<std::size_t>(c.ranks));
-    for (int rank = 0; rank < c.ranks; ++rank) {
-      auto rng = make_stream(c.seed, static_cast<std::uint64_t>(rank));
-      for (std::size_t i = 0; i < n; ++i) {
-        keys.push_back(exponential ? std::min(rng.exponential(1.0), 9.999)
-                                   : rng.uniform(0.0, 10.0));
-      }
-    }
-    const SpilledDataset spill(io::Dataset(1, std::move(keys)), s.chunk_rows,
-                               c.seed);
-    result = mpi::run(
-        c.ranks,
-        [&](mpi::Comm& comm) {
-          std::vector<double> sorted;
-          const auto res = m3::streamed_bucket_sort(comm, spill.path, cfg,
-                                                    sorted, {s.overlap});
-          if (comm.rank() == 0) r = res;
-        },
-        options_for(c));
-  } else {
-    result = mpi::run(
-        c.ranks,
-        [&](mpi::Comm& comm) {
-          auto rng = make_stream(c.seed,
-                                 static_cast<std::uint64_t>(comm.rank()));
-          std::vector<double> local(n);
-          for (auto& v : local) {
-            v = exponential ? std::min(rng.exponential(1.0), 9.999)
-                            : rng.uniform(0.0, 10.0);
-          }
-          m3::Result res;
-          if (elastic_on) {
-            m3::ElasticConfig ecfg;
-            ecfg.imbalance_threshold = threshold;
-            res = m3::elastic_bucket_sort(comm, std::move(local), cfg, ecfg);
-          } else {
-            res = m3::distributed_bucket_sort(comm, local, cfg);
-          }
-          if (comm.rank() == 0) r = res;
-        },
-        options_for(c));
+  if (s.stream && cfg.policy != m3::SplitterPolicy::kEqualWidth) {
+    return reject("--stream needs --policy=width (equal-width splitters "
+                  "are the only data-independent policy)");
   }
+  if (s.stream && elastic_on) {
+    return reject("--stream cannot --repartition (the elastic container "
+                  "holds in-core keys only)");
+  }
+  if (s.stream && args.has("imbalance-threshold")) {
+    return reject("--stream ignores --imbalance-threshold (it only applies "
+                  "with --repartition)");
+  }
+  // Rank `rank`'s keys.  Streamed, every rank's keys are spilled rank-major
+  // into one chunk file, so both modes bucket the identical multiset.
+  const auto keys_of = [&](int rank) {
+    auto rng = make_stream(c.seed, static_cast<std::uint64_t>(rank));
+    std::vector<double> keys(n);
+    for (auto& v : keys) {
+      v = exponential ? std::min(rng.exponential(1.0), 9.999)
+                      : rng.uniform(0.0, 10.0);
+    }
+    return keys;
+  };
+  std::optional<SpilledDataset> spill;
+  if (s.stream) {
+    std::vector<double> all;
+    all.reserve(n * static_cast<std::size_t>(c.ranks));
+    for (int rank = 0; rank < c.ranks; ++rank) {
+      const std::vector<double> keys = keys_of(rank);
+      all.insert(all.end(), keys.begin(), keys.end());
+    }
+    spill.emplace(io::Dataset(1, std::move(all)), s.chunk_rows, c.seed);
+  }
+  m3::Result r;
+  const auto result = mpi::run(
+      c.ranks,
+      [&](mpi::Comm& comm) {
+        std::vector<double> keys;
+        m3::Result res;
+        if (spill) {
+          res = m3::streamed_bucket_sort(comm, spill->path, cfg, keys,
+                                         {s.overlap});
+        } else if (elastic_on) {
+          res = m3::elastic_bucket_sort(comm, keys_of(comm.rank()), cfg,
+                                        ecfg);
+        } else {
+          keys = keys_of(comm.rank());
+          res = m3::distributed_bucket_sort(comm, keys, cfg);
+        }
+        if (comm.rank() == 0) r = res;
+      },
+      options_for(c));
   std::printf("bucket sort, %zu %s keys/rank%s, %s splitters: sorted=%s "
               "imbalance=%.2f sim time %s\n",
               n, exponential ? "exponential" : "uniform",
