@@ -198,8 +198,7 @@ void bm_kernel_distance_row(benchmark::State& state, ker::Isa isa,
 }
 
 void bm_kernel_kmeans_assign(benchmark::State& state, ker::Isa isa,
-                             std::size_t n, std::size_t k) {
-  const std::size_t dim = 90;
+                             std::size_t n, std::size_t dim, std::size_t k) {
   const auto d = io::generate_uniform(n, dim, 0.0, 1.0, 3);
   std::vector<double> centroids(
       d.values().begin(),
@@ -291,9 +290,14 @@ void register_kernel_benches() {
     for (const std::size_t k : {std::size_t{16}, std::size_t{64}}) {
       reg("BM_KernelKmeansAssign" + tag + "/8192/k" + std::to_string(k),
           [isa, k](benchmark::State& s) {
-            bm_kernel_kmeans_assign(s, isa, 8192, k);
+            bm_kernel_kmeans_assign(s, isa, 8192, 90, k);
           });
     }
+    // Module 5's own shape: 2-D points, k = 16 (the kmeans-elastic run).
+    reg("BM_KernelKmeansAssign" + tag + "/100000/d2/k16",
+        [isa](benchmark::State& s) {
+          bm_kernel_kmeans_assign(s, isa, 100000, 2, 16);
+        });
     reg("BM_KernelUpdateCentroids" + tag + "/k64",
         [isa](benchmark::State& s) {
           bm_kernel_update_centroids(s, isa, 64);

@@ -2,10 +2,12 @@
 //
 // The assignment phase — k squared-distance evaluations per point — is
 // the compute-bound side of the module's compute/communication
-// trade-off; the AVX2 path keeps a block of 4 centroids' accumulators in
-// registers and streams each point through them once.  Scalar and SIMD
-// are bit-identical (detail/canonical.hpp), so the clustering, iteration
-// count and inertia never depend on the ISA.
+// trade-off.  The AVX2 path transposes the centroids into blocks of 4 so
+// that each vector lane is one centroid: every dim vectorizes, module
+// 5's 2-D points included, and the nearest centroid is found by a
+// branch-free per-lane running argmin plus one horizontal reduction.
+// Scalar and SIMD are bit-identical (detail/canonical.hpp), so the
+// clustering, iteration count and inertia never depend on the ISA.
 #pragma once
 
 #include <cstddef>

@@ -6,7 +6,8 @@
 // are tested against.
 //
 // Layout (one anonymous shared mapping):
-//   [Control][per-rank: tx RingCtl, rx RingCtl][per-rank: tx buf, rx buf]
+//   [Control][pad to 64][per-rank: tx RingCtl, rx RingCtl]
+//   [per-rank: tx buf, rx buf]
 //
 // Each ring is a byte-stream SPSC queue (monotonic head/tail counters,
 // like a pipe): producers write length-prefixed frames, consumers read
@@ -24,6 +25,7 @@
 #include <cerrno>
 #include <chrono>
 #include <csignal>
+#include <cstdint>
 #include <cstring>
 #include <new>
 #include <thread>
@@ -54,6 +56,12 @@ struct RingCtl {
 struct Control {
   std::atomic<std::uint32_t> stop{0};
 };
+
+/// The RingCtl array follows Control, rounded up to RingCtl's alignment
+/// (the mapping itself is page-aligned).
+constexpr std::size_t kRingCtlOffset =
+    (sizeof(Control) + alignof(RingCtl) - 1) / alignof(RingCtl) *
+    alignof(RingCtl);
 
 /// Brief spin, then yield, then sleep — keeps echo latency low without
 /// burning a core while a peer is scheduled out.
@@ -144,8 +152,7 @@ class ShmBackend final : public Backend {
     DIPDC_REQUIRE(map_ == nullptr, "shm backend connected twice");
     nranks_ = nranks;
     const std::size_t n = static_cast<std::size_t>(nranks);
-    const std::size_t ctl_bytes =
-        sizeof(Control) + 2 * n * sizeof(RingCtl);
+    const std::size_t ctl_bytes = kRingCtlOffset + 2 * n * sizeof(RingCtl);
     map_bytes_ = ctl_bytes + 2 * n * ring_bytes_;
     void* mem = ::mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
                        MAP_SHARED | MAP_ANONYMOUS, -1, 0);
@@ -155,7 +162,10 @@ class ShmBackend final : public Backend {
     }
     map_ = static_cast<std::byte*>(mem);
     control_ = new (map_) Control();
-    auto* ctls = reinterpret_cast<RingCtl*>(map_ + sizeof(Control));
+    auto* ctls = reinterpret_cast<RingCtl*>(map_ + kRingCtlOffset);
+    DIPDC_REQUIRE(reinterpret_cast<std::uintptr_t>(ctls) %
+                          alignof(RingCtl) == 0,
+                  "shm backend: misaligned ring control block");
     std::byte* bufs = map_ + ctl_bytes;
     tx_ = std::vector<Ring>(n);
     rx_ = std::vector<Ring>(n);

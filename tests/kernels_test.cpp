@@ -175,19 +175,38 @@ TEST(KernelsDistance, DistanceRowsMatchesPerPairReference) {
 TEST(KernelsKmeans, AssignScalarSimdBitEqualOverRandomShapes) {
   if (!simd_available()) GTEST_SKIP() << "no AVX2 on this host";
   Xoshiro256 rng(77);
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::size_t n = 1 + rng.uniform_index(50);
-    const std::size_t dim = 1 + rng.uniform_index(40);
-    const std::size_t k = 1 + rng.uniform_index(9);  // includes k = 1
-    const auto pts = random_values(n * dim, 3000 + static_cast<std::uint64_t>(trial));
+  for (int trial = 0; trial < 80; ++trial) {
+    // The SIMD kernel puts 4 centroids in the 4 lanes of a block: k up
+    // to 40 hits every k % 4 with several blocks, and the first 25
+    // trials force dim through 1..5 (1-3: tail only; 4: blocked prefix
+    // only; 5: both).
+    const std::size_t n = 4 + rng.uniform_index(50);
+    const std::size_t dim =
+        trial < 25 ? 1 + static_cast<std::size_t>(trial % 5)
+                   : 1 + rng.uniform_index(40);
+    const std::size_t k = 1 + rng.uniform_index(40);  // includes k = 1
+    auto pts = random_values(n * dim, 3000 + static_cast<std::uint64_t>(trial));
     auto cents = random_values(k * dim, 4000 + static_cast<std::uint64_t>(trial));
-    if (k >= 2) {
-      // Duplicate centroid: exact distance ties must break to the lowest
-      // index on both paths.
-      std::copy(cents.begin(),
-                cents.begin() + static_cast<std::ptrdiff_t>(dim),
-                cents.begin() + static_cast<std::ptrdiff_t>((k - 1) * dim));
-    }
+    const auto copy_row = [dim](const std::vector<double>& from,
+                                std::size_t src, std::vector<double>& to,
+                                std::size_t dst) {
+      std::copy(from.begin() + static_cast<std::ptrdiff_t>(src * dim),
+                from.begin() + static_cast<std::ptrdiff_t>((src + 1) * dim),
+                to.begin() + static_cast<std::ptrdiff_t>(dst * dim));
+    };
+    // Duplicate centroids — exact distance ties must break to the lowest
+    // index on both paths: 0 and k-1; 1 and 5 (same lane, blocks 0 and
+    // 1); 3 and 4 (the higher index sits in the lower lane).  Points 0..2
+    // sit on a duplicated pair, so the tie is the nearest distance.
+    if (k >= 2) copy_row(cents, 0, cents, k - 1);
+    if (k >= 7) copy_row(cents, 1, cents, 5);
+    if (k >= 6) copy_row(cents, 3, cents, 4);
+    copy_row(cents, 0, pts, 0);
+    if (k >= 7) copy_row(cents, 1, pts, 1);
+    if (k >= 6) copy_row(cents, 3, pts, 2);
+    // Every distance of the last point overflows to +inf: index 0.
+    std::fill(pts.end() - static_cast<std::ptrdiff_t>(dim), pts.end(),
+              1e300);
 
     std::vector<std::size_t> assign_scalar(n), assign_simd(n);
     std::vector<double> sums_scalar(k * dim, 0.0), sums_simd(k * dim, 0.0);
@@ -200,6 +219,14 @@ TEST(KernelsKmeans, AssignScalarSimdBitEqualOverRandomShapes) {
                        counts_simd.data());
     ASSERT_EQ(assign_scalar, assign_simd)
         << "trial " << trial << " n=" << n << " dim=" << dim << " k=" << k;
+    ASSERT_EQ(assign_simd[0], 0u) << "trial " << trial;
+    if (k >= 7) {
+      ASSERT_EQ(assign_simd[1], 1u) << "trial " << trial;
+    }
+    if (k >= 6) {
+      ASSERT_EQ(assign_simd[2], 3u) << "trial " << trial;
+    }
+    ASSERT_EQ(assign_simd[n - 1], 0u) << "trial " << trial;
     ASSERT_EQ(sums_scalar, sums_simd) << "trial " << trial;
     ASSERT_EQ(counts_scalar, counts_simd) << "trial " << trial;
   }
