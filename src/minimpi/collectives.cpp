@@ -44,9 +44,7 @@ namespace {
 /// and kAnySource are -1, so internal tags start below -1.
 constexpr int kInternalTagBase = -2;
 
-void require(bool ok, const char* what) {
-  if (!ok) throw MpiError(what);
-}
+using detail::require;
 
 /// memcpy-based span copy; avoids GCC's spurious stringop-overflow warning
 /// on std::copy over runtime-sized byte spans.

@@ -1,12 +1,22 @@
 // Point-to-point transport: the byte-level operations behind the typed API.
 //
+// One send path and one receive path carry every message:
+//  - inject() sends (send, isend, and the collectives' staged sends): fault
+//    draw, envelope, timing stamps, the backend seam, and delivery;
+//  - post_recv() + complete_recv() receive: a blocking recv is an irecv
+//    followed by its wait, and the staged and acknowledgement receives
+//    reuse both halves;
+//  - whichever side comes second runs Runtime::match (runtime.cpp), the
+//    sender finding the receive posted or the receiver finding the message
+//    queued.  It is the only place ingress time is charged.
+//
 // Fast-path structure (all sim-neutral; see options.hpp TransportOptions):
 //  - payloads are built OUTSIDE the runtime lock, in pooled buffers or the
 //    envelope's inline storage (no allocation for small eager messages);
 //  - blocking rendezvous senders lend their buffer to the envelope instead
 //    of copying (the sender provably blocks until the receiver consumed it);
-//  - large payload copies on the receive side happen outside the lock, with
-//    in-flight flags so an unwinding peer never frees memory mid-copy;
+//  - large payload copies happen outside the lock, with an in-flight flag
+//    so an unwinding receiver never frees its buffer mid-copy;
 //  - unexpected-message matching is indexed by (context, tag) buckets.
 #include "minimpi/comm.hpp"
 
@@ -25,11 +35,6 @@
 namespace dipdc::minimpi {
 
 namespace {
-
-/// Payloads up to this size are copied while holding the runtime lock (one
-/// lock round-trip beats two for small memcpys); larger receive-side copies
-/// release the lock around the memcpy.
-constexpr std::size_t kLockedCopyMax = 4096;
 
 /// Builds the payload for an outgoing message.  Called outside the runtime
 /// lock; the stats stream is the sender's own (only its thread writes it).
@@ -74,6 +79,42 @@ void record_channel_received(detail::RankState& st, bool enabled,
   detail::ChannelCount& c = st.channel_received[src_world];
   c.bytes += bytes;
   ++c.messages;
+}
+
+/// Moves the clock to `t` unless it is already later, booking the wait as
+/// communication time: how every operation adopts a completion time.
+void adopt_clock(detail::RankState& st, double t) {
+  const double completion = std::max(st.clock, t);
+  st.stats.sim_comm_seconds += completion - st.clock;
+  st.clock = completion;
+}
+
+/// Charges `dt` of purely local communication cost (injection overhead, an
+/// expired acknowledgement wait).
+void charge_comm(detail::RankState& st, double dt) {
+  st.clock += dt;
+  st.stats.sim_comm_seconds += dt;
+}
+
+/// Books a completed receive on the receiving rank's counters, once per
+/// request however often wait()/test() see it complete.
+void account_recv(detail::RankState& st, detail::RequestState& req,
+                  bool channels) {
+  if (req.consumed) return;
+  req.consumed = true;
+  const std::size_t n = req.status.bytes;
+  if (req.staged_shared) {
+    st.stats.zero_copy_bytes += n;
+  } else {
+    st.stats.copied_bytes += n;
+    if (req.want_staged && n > 0) {
+      ++(req.pool_hit ? st.stats.pool_hits : st.stats.pool_misses);
+    }
+  }
+  if (req.internal) return;
+  st.stats.p2p_bytes_received += n;
+  ++st.stats.p2p_messages_received;
+  record_channel_received(st, channels, req.src_world, n);
 }
 
 }  // namespace
@@ -136,12 +177,13 @@ void Comm::sim_advance(double seconds) {
   }
 }
 
-void Comm::send_bytes(std::span<const std::byte> data, int dest, int tag,
-                      bool internal) {
-  validate_peer(dest, "send");
-  if (!internal) validate_user_tag(tag, "send");
+std::shared_ptr<detail::Envelope> Comm::inject(
+    std::span<const std::byte> data, const detail::StagedBuffer* staged,
+    int dest, int tag, bool internal, bool blocking) {
   const int wdest = to_world(dest);
   detail::RankState& st = state();
+  const RuntimeOptions& opt = runtime_->options();
+  const double overhead = cost_model().send_overhead();
 
   // Fault injection applies to user p2p traffic only; collective-internal
   // messages and reliable-delivery acknowledgements ride the lossless
@@ -149,11 +191,19 @@ void Comm::send_bytes(std::span<const std::byte> data, int dest, int tag,
   // not a fault fires, so the injected sequence depends only on (plan seed,
   // rank, message ordinal).
   detail::FaultDecision fault;
-  if (!internal && runtime_->options().faults.injects()) {
-    fault = detail::draw_fault(runtime_->options().faults, st.fault_rng);
+  if (!internal && opt.faults.injects()) {
+    fault = detail::draw_fault(opt.faults, st.fault_rng);
   }
-  const bool channels =
-      !internal && runtime_->options().record_channels;
+  const bool channels = !internal && opt.record_channels;
+  auto count_sent = [&] {
+    st.stats.transport_bytes_sent += data.size();
+    ++st.stats.transport_messages_sent;
+    if (!internal) {
+      st.stats.p2p_bytes_sent += data.size();
+      ++st.stats.p2p_messages_sent;
+    }
+    record_channel_sent(st, channels, wdest, data.size());
+  };
   // Observability: every user p2p message gets a world-unique edge id.
   // Dropped messages allocate one too (the send event shows an edge no
   // receive ever completes), so edge numbering is independent of the fault
@@ -165,43 +215,52 @@ void Comm::send_bytes(std::span<const std::byte> data, int dest, int tag,
     // rendezvous-sized payload is lost fire-and-forget too — blocking on a
     // handshake that can never happen would hang the sender by design.
     ++st.stats.fault_drops;
-    st.stats.transport_bytes_sent += data.size();
-    ++st.stats.transport_messages_sent;
-    st.stats.p2p_bytes_sent += data.size();
-    ++st.stats.p2p_messages_sent;
-    record_channel_sent(st, channels, wdest, data.size());
+    count_sent();
     if (rec != nullptr) st.last_tx_seq = rec->alloc_seq(world_rank_);
-    const double overhead = cost_model().send_overhead();
-    st.clock += overhead;
-    st.stats.sim_comm_seconds += overhead;
-    return;
+    charge_comm(st, overhead);
+    // An already-matched eager stand-in, so nothing ever waits on it.
+    auto dropped = runtime_->acquire_envelope();
+    dropped->matched = true;
+    return dropped;
   }
 
   // Collective-internal messages are always eager: real MPI collectives
   // never deadlock, and the linear root loops must not serialize on
   // rendezvous handshakes.
-  const bool rendezvous =
-      !internal && data.size() > runtime_->options().eager_threshold;
-  auto env = runtime_->acquire_envelope();
-  env->source = rank_;
-  env->src_world = world_rank_;
-  env->dest = wdest;
-  env->tag = tag;
-  env->context = context_;
-  env->internal = internal;
+  const bool rendezvous = !internal && data.size() > opt.eager_threshold;
+  auto make_envelope = [&] {
+    auto e = runtime_->acquire_envelope();
+    e->source = rank_;
+    e->src_world = world_rank_;
+    e->dest = wdest;
+    e->tag = tag;
+    e->context = context_;
+    e->internal = internal;
+    return e;
+  };
+  auto env = make_envelope();
   env->rendezvous = rendezvous;
   if (rec != nullptr) {
     env->trace_seq = rec->alloc_seq(world_rank_);
     st.last_tx_seq = env->trace_seq;
   }
-  // Zero-copy borrowing is only sound when the receiver lives in this
-  // address space; across the shm/tcp seam the borrow degrades to a copy
-  // (satellite of the backend work: fail safe, never dangle).
-  env->payload =
-      build_payload(data,
-                    /*borrow_ok=*/rendezvous && runtime_->backend_shares_memory(),
-                    runtime_->options().transport, runtime_->buffer_pool(),
-                    st.stats);
+  if (staged != nullptr && staged->storage && !data.empty() &&
+      opt.transport.zero_copy) {
+    // Share the staging buffer into the envelope: every hop of a tree or
+    // ring forward references the same bytes.  The buffer must not be
+    // mutated after this point (collectives uphold that discipline), and
+    // crossing the shm/tcp seam flattens it into the frame while the
+    // refcount keeps it valid, so sharing is safe on every backend.
+    env->payload = detail::Payload::shared_view(*staged);
+    st.stats.zero_copy_bytes += data.size();
+  } else {
+    // Only a blocking rendezvous send may lend its buffer: an isend returns
+    // at once (the caller may then mutate the bytes), and a borrow cannot
+    // cross the shm/tcp seam, so there it degrades to a copy.
+    env->payload = build_payload(
+        data, blocking && rendezvous && runtime_->backend_shares_memory(),
+        opt.transport, runtime_->buffer_pool(), st.stats);
+  }
 
   // A duplicated message is a spurious eager retransmission: its payload is
   // an independent copy (never a borrow of the user's frame) and it never
@@ -209,17 +268,9 @@ void Comm::send_bytes(std::span<const std::byte> data, int dest, int tag,
   std::shared_ptr<detail::Envelope> dup;
   if (fault.duplicate) {
     ++st.stats.fault_dups;
-    dup = runtime_->acquire_envelope();
-    dup->source = rank_;
-    dup->src_world = world_rank_;
-    dup->dest = wdest;
-    dup->tag = tag;
-    dup->context = context_;
-    dup->internal = internal;
-    dup->rendezvous = false;
+    dup = make_envelope();
     dup->trace_seq = env->trace_seq;  // same logical message, same edge
-    dup->payload = build_payload(data, /*borrow_ok=*/false,
-                                 runtime_->options().transport,
+    dup->payload = build_payload(data, /*borrow_ok=*/false, opt.transport,
                                  runtime_->buffer_pool(), st.stats);
   }
 
@@ -228,7 +279,6 @@ void Comm::send_bytes(std::span<const std::byte> data, int dest, int tag,
   // on every backend.  No lock needed: st.clock is mutated only by this
   // thread and the cost model is immutable.
   const double alpha = cost_model().message_time(world_rank_, wdest, 0);
-  const double overhead = cost_model().send_overhead();
   env->arrival_head = st.clock + alpha + fault.delay;
   if (fault.delay > 0.0) ++st.stats.fault_delays;
   env->byte_time =
@@ -243,332 +293,162 @@ void Comm::send_bytes(std::span<const std::byte> data, int dest, int tag,
   if (dup) dup = runtime_->transport_envelope(std::move(dup));
 
   std::unique_lock<std::mutex> lock(runtime_->mutex());
-  st.stats.transport_bytes_sent += data.size();
-  ++st.stats.transport_messages_sent;
-  if (!internal) {
-    st.stats.p2p_bytes_sent += data.size();
-    ++st.stats.p2p_messages_sent;
-  }
-  record_channel_sent(st, channels, wdest, data.size());
-  auto finish_delivery = [&](const std::shared_ptr<detail::Envelope>& e) {
-    auto pending = runtime_->deliver_locked(e);
-    if (pending) {
-      lock.unlock();
-      e->payload.copy_to(pending->buffer);
-      lock.lock();
-      pending->copy_in_flight = false;
-      pending->done = true;
-      e->matched = true;
-      runtime_->condvar().notify_all();
-    }
-  };
-  finish_delivery(env);
+  count_sent();
+  runtime_->deliver(lock, env);
   if (dup) {
     st.stats.transport_bytes_sent += data.size();
     ++st.stats.transport_messages_sent;
-    finish_delivery(dup);
+    runtime_->deliver(lock, dup);
   }
-  if (rendezvous) {
-    if (!env->matched) ++st.stats.rendezvous_stalls;
-    try {
-      runtime_->blocking_wait(lock, world_rank_, "Send (rendezvous)",
-                              [&env] { return env->matched; });
-    } catch (...) {
-      // The envelope may borrow this frame's `data`; make sure nobody can
-      // touch it after we unwind: drop it from the mailbox if still
-      // queued, or wait out a receiver's in-flight copy.
-      detail::Mailbox& mb = runtime_->mailbox(wdest);
-      if (!mb.unexpected.remove(env.get())) {
-        while (!env->matched) runtime_->condvar().wait(lock);
-      }
-      throw;
-    }
-    const double completion = std::max(st.clock, env->completion_time);
-    st.stats.sim_comm_seconds += completion - st.clock;
-    st.clock = completion;
-  } else {
-    // The eager sender only pays its local injection overhead (LogP "o");
-    // the wire latency is experienced by the receiver.
-    st.clock += overhead;
-    st.stats.sim_comm_seconds += overhead;
+  // Every sender but a blocking rendezvous one pays only its local
+  // injection overhead (LogP "o"); the wire latency is experienced by the
+  // receiver, and a rendezvous isend defers the synchronization to wait().
+  if (!(blocking && rendezvous)) {
+    charge_comm(st, overhead);
+  } else if (!env->matched) {
+    ++st.stats.rendezvous_stalls;
   }
+  return env;
 }
 
-Status Comm::recv_bytes(std::span<std::byte> data, int source, int tag,
-                        bool internal) {
-  if (source != kAnySource) validate_peer(source, "recv");
-  if (!internal && tag != kAnyTag) validate_user_tag(tag, "recv");
-
+void Comm::send_bytes(std::span<const std::byte> data, int dest, int tag,
+                      bool internal) {
+  validate_peer(dest, "send");
+  if (!internal) validate_user_tag(tag, "send");
+  const auto env =
+      inject(data, nullptr, dest, tag, internal, /*blocking=*/true);
+  if (!env->rendezvous) return;
+  // A rendezvous send adopts the receiver's completion directly, without
+  // the injection overhead an isend + wait would add first.
   std::unique_lock<std::mutex> lock(runtime_->mutex());
-  detail::RankState& st = state();
-  detail::Mailbox& mb = runtime_->mailbox(world_rank_);
-
-  // Fast path: a matching message already arrived.
-  if (auto m = mb.unexpected.find(source, tag, context_, internal)) {
-    const std::shared_ptr<detail::Envelope> env = m->handle();
-    if (env->payload.size() > data.size()) {
-      std::ostringstream os;
-      os << "message truncation: recv buffer holds " << data.size()
-         << " bytes but rank " << env->source << " sent "
-         << env->payload.size() << " bytes (tag " << env->tag << ")";
-      throw MpiError(os.str());  // message stays queued, as before
-    }
-    const Status status{env->source, env->tag, env->payload.size()};
-    const double completion = detail::charge_ingress(mb, *env, st.clock);
-    st.stats.sim_comm_seconds += completion - st.clock;
-    st.clock = completion;
-    if (!internal) {
-      st.stats.p2p_bytes_received += status.bytes;
-      ++st.stats.p2p_messages_received;
-      record_channel_received(st, runtime_->options().record_channels,
-                              env->src_world, status.bytes);
-      st.last_rx_seq = env->trace_seq;
-    }
-    st.stats.copied_bytes += status.bytes;
-    mb.unexpected.erase(*m);
-    if (status.bytes <= kLockedCopyMax) {
-      env->payload.copy_to(data.data());
-      env->matched = true;
-    } else {
-      env->consume_in_flight = true;
-      lock.unlock();
-      env->payload.copy_to(data.data());
-      lock.lock();
-      env->consume_in_flight = false;
-      env->matched = true;
-    }
-    runtime_->condvar().notify_all();  // a rendezvous sender may be waiting
-    return status;
-  }
-
-  // Slow path: post the receive and block until a sender matches it.
-  auto req = std::make_shared<detail::RequestState>();
-  req->kind = detail::RequestState::Kind::kRecv;
-  req->buffer = data.data();
-  req->capacity = data.size();
-  req->source_filter = source;
-  req->tag_filter = tag;
-  req->context = context_;
-  req->internal = internal;
-  req->post_time = st.clock;
-  mb.posted.push_back(req);
-
   try {
-    runtime_->blocking_wait(lock, world_rank_, "Recv",
-                            [&req] { return req->done; });
+    runtime_->blocking_wait(lock, world_rank_, "Send (rendezvous)",
+                            [&env] { return env->matched; });
   } catch (...) {
-    // Keep `data` safe across the unwind: finish an in-flight sender copy,
-    // or withdraw the posted receive so no later sender writes into it.
-    if (req->copy_in_flight) {
-      while (!req->done) runtime_->condvar().wait(lock);
-    } else if (!req->done) {
-      std::erase(mb.posted, req);
+    // The envelope may borrow this frame's `data`; make sure nobody can
+    // touch it after we unwind: drop it from the mailbox if still
+    // queued, or wait out a receiver's in-flight copy.
+    if (!runtime_->mailbox(env->dest).unexpected.remove(env.get())) {
+      while (!env->matched) runtime_->condvar().wait(lock);
     }
     throw;
   }
-  if (!req->error.empty()) throw MpiError(req->error);
-  const double completion = std::max(st.clock, req->completion_time);
-  st.stats.sim_comm_seconds += completion - st.clock;
-  st.clock = completion;
-  if (!internal) {
-    st.stats.p2p_bytes_received += req->status.bytes;
-    ++st.stats.p2p_messages_received;
-    record_channel_received(st, runtime_->options().record_channels,
-                            req->src_world, req->status.bytes);
-    st.last_rx_seq = std::exchange(req->trace_seq, 0);
-  }
-  st.stats.copied_bytes += req->status.bytes;
-  return req->status;
+  adopt_clock(state(), env->completion_time);
 }
 
 Request Comm::isend_bytes(std::span<const std::byte> data, int dest, int tag,
                           bool internal) {
   validate_peer(dest, "isend");
   if (!internal) validate_user_tag(tag, "isend");
-  const int wdest = to_world(dest);
-  detail::RankState& st = state();
-
-  // See send_bytes: user p2p traffic only, one draw per message.
-  detail::FaultDecision fault;
-  if (!internal && runtime_->options().faults.injects()) {
-    fault = detail::draw_fault(runtime_->options().faults, st.fault_rng);
-  }
-  const bool channels =
-      !internal && runtime_->options().record_channels;
-  obs::Recorder* const rec = internal ? nullptr : runtime_->recorder();
-  if (fault.drop) {
-    ++st.stats.fault_drops;
-    st.stats.transport_bytes_sent += data.size();
-    ++st.stats.transport_messages_sent;
-    st.stats.p2p_bytes_sent += data.size();
-    ++st.stats.p2p_messages_sent;
-    record_channel_sent(st, channels, wdest, data.size());
-    if (rec != nullptr) st.last_tx_seq = rec->alloc_seq(world_rank_);
-    // The request completes immediately (the sender cannot distinguish a
-    // dropped eager message); the envelope exists only so that wait()/test()
-    // can dereference it, and is marked matched so nothing ever waits on it.
-    auto dropped = std::make_shared<detail::RequestState>();
-    dropped->kind = detail::RequestState::Kind::kSend;
-    dropped->envelope = runtime_->acquire_envelope();
-    dropped->envelope->rendezvous = false;
-    dropped->envelope->matched = true;
-    st.clock += cost_model().send_overhead();
-    st.stats.sim_comm_seconds += cost_model().send_overhead();
-    dropped->done = true;
-    dropped->completion_time = st.clock;
-    return Request(dropped);
-  }
-
-  const bool rendezvous =
-      !internal && data.size() > runtime_->options().eager_threshold;
-  auto env = runtime_->acquire_envelope();
-  env->source = rank_;
-  env->src_world = world_rank_;
-  env->dest = wdest;
-  env->tag = tag;
-  env->context = context_;
-  env->internal = internal;
-  env->rendezvous = rendezvous;
-  if (rec != nullptr) {
-    env->trace_seq = rec->alloc_seq(world_rank_);
-    st.last_tx_seq = env->trace_seq;
-  }
-  // Isend returns immediately, so the payload can never borrow the user's
-  // buffer (the sender may mutate it before the receiver matches).
-  env->payload = build_payload(data, /*borrow_ok=*/false,
-                               runtime_->options().transport,
-                               runtime_->buffer_pool(), st.stats);
-
-  std::shared_ptr<detail::Envelope> dup;
-  if (fault.duplicate) {
-    ++st.stats.fault_dups;
-    dup = runtime_->acquire_envelope();
-    dup->source = rank_;
-    dup->src_world = world_rank_;
-    dup->dest = wdest;
-    dup->tag = tag;
-    dup->context = context_;
-    dup->internal = internal;
-    dup->rendezvous = false;
-    dup->trace_seq = env->trace_seq;  // same logical message, same edge
-    dup->payload = build_payload(data, /*borrow_ok=*/false,
-                                 runtime_->options().transport,
-                                 runtime_->buffer_pool(), st.stats);
-  }
-
-  // Timing before the seam, seam before the lock (see send_bytes).
-  const double alpha = cost_model().message_time(world_rank_, wdest, 0);
-  env->arrival_head = st.clock + alpha + fault.delay;
-  if (fault.delay > 0.0) ++st.stats.fault_delays;
-  env->byte_time =
-      cost_model().message_time(world_rank_, wdest, data.size()) - alpha;
-  if (dup) {
-    dup->arrival_head = env->arrival_head;
-    dup->byte_time = env->byte_time;
-  }
-  env = runtime_->transport_envelope(std::move(env));
-  if (dup) dup = runtime_->transport_envelope(std::move(dup));
-
-  // wait()/test() track the envelope that was actually delivered.
   auto req = std::make_shared<detail::RequestState>();
   req->kind = detail::RequestState::Kind::kSend;
-  req->envelope = env;
-
-  std::unique_lock<std::mutex> lock(runtime_->mutex());
-  st.stats.transport_bytes_sent += data.size();
-  ++st.stats.transport_messages_sent;
-  if (!internal) {
-    st.stats.p2p_bytes_sent += data.size();
-    ++st.stats.p2p_messages_sent;
-  }
-  record_channel_sent(st, channels, wdest, data.size());
-  auto finish_delivery = [&](const std::shared_ptr<detail::Envelope>& e) {
-    auto pending = runtime_->deliver_locked(e);
-    if (pending) {
-      lock.unlock();
-      e->payload.copy_to(pending->buffer);
-      lock.lock();
-      pending->copy_in_flight = false;
-      pending->done = true;
-      e->matched = true;
-      runtime_->condvar().notify_all();
-    }
-  };
-  finish_delivery(env);
-  if (dup) {
-    st.stats.transport_bytes_sent += data.size();
-    ++st.stats.transport_messages_sent;
-    finish_delivery(dup);
-  }
-  // The non-blocking send itself only pays injection overhead; a rendezvous
-  // Isend defers the synchronization to wait().
-  st.clock += cost_model().send_overhead();
-  st.stats.sim_comm_seconds += cost_model().send_overhead();
-  if (!rendezvous) {
+  // wait()/test() track the envelope that was actually delivered.
+  req->envelope =
+      inject(data, nullptr, dest, tag, internal, /*blocking=*/false);
+  if (!req->envelope->rendezvous) {
     req->done = true;
-    req->completion_time = st.clock;
+    req->completion_time = state().clock;
   }
   return Request(req);
+}
+
+void Comm::send_staged(const detail::StagedBuffer& data, int dest, int tag) {
+  validate_peer(dest, "send");
+  // Staged traffic is collective-internal, and therefore always eager.
+  (void)inject(data.view(), &data, dest, tag, /*internal=*/true,
+               /*blocking=*/false);
+}
+
+std::shared_ptr<detail::RequestState> Comm::post_recv(
+    std::unique_lock<std::mutex>& lock, std::byte* buffer,
+    std::size_t capacity, int source, int tag, bool internal, bool staged) {
+  auto req = std::make_shared<detail::RequestState>();
+  req->buffer = buffer;
+  req->capacity = capacity;
+  req->source_filter = source;
+  req->tag_filter = tag;
+  req->context = context_;
+  req->internal = internal;
+  req->want_staged = staged;
+  detail::RankState& st = state();
+  req->post_time = st.clock;
+  detail::Mailbox& mb = runtime_->mailbox(world_rank_);
+  if (auto m = mb.unexpected.find(source, tag, context_, internal)) {
+    const std::shared_ptr<detail::Envelope> env = m->handle();
+    mb.unexpected.erase(*m);
+    runtime_->match(lock, *env, *req);
+    // Matched at post: the posting operation's own trace event carries the
+    // message edge (a later wait() finds req->trace_seq consumed).
+    if (!internal && req->error.empty()) {
+      st.last_rx_seq = std::exchange(req->trace_seq, 0);
+    }
+  } else {
+    mb.posted.push_back(req);
+  }
+  return req;
+}
+
+bool Comm::complete_recv(std::unique_lock<std::mutex>& lock,
+                         const std::shared_ptr<detail::RequestState>& req,
+                         const char* what, bool can_timeout) {
+  if (!req->done) {
+    // Keeps the receive buffer safe when the wait ends early: finish an
+    // in-flight sender copy, or withdraw the posted receive so no later
+    // sender writes into it.  True when the message did arrive.
+    auto settle = [&] {
+      if (req->copy_in_flight) {
+        while (!req->done) runtime_->condvar().wait(lock);
+      } else if (!req->done) {
+        std::erase(runtime_->mailbox(world_rank_).posted, req);
+      }
+      return req->done;
+    };
+    detail_runtime::Runtime::WaitOutcome outcome{};
+    try {
+      outcome = runtime_->blocking_wait_for(
+          lock, world_rank_, what, [&req] { return req->done; }, can_timeout);
+    } catch (...) {
+      settle();
+      throw;
+    }
+    // A timeout may have raced an arriving message that a sender is still
+    // copying in; then the message did arrive.
+    if (outcome == detail_runtime::Runtime::WaitOutcome::kTimedOut &&
+        !settle()) {
+      return false;
+    }
+  }
+  if (!req->error.empty()) throw MpiError(req->error);
+  detail::RankState& st = state();
+  adopt_clock(st, req->completion_time);
+  // Hand the matched message's edge to the completing operation's trace
+  // event (zero when the post already consumed it).
+  if (!req->internal && !req->consumed && req->trace_seq != 0) {
+    st.last_rx_seq = std::exchange(req->trace_seq, 0);
+  }
+  account_recv(st, *req, runtime_->options().record_channels);
+  return true;
+}
+
+Status Comm::recv_bytes(std::span<std::byte> data, int source, int tag,
+                        bool internal) {
+  if (source != kAnySource) validate_peer(source, "recv");
+  if (!internal && tag != kAnyTag) validate_user_tag(tag, "recv");
+  // A blocking receive is an irecv followed by its wait.
+  std::unique_lock<std::mutex> lock(runtime_->mutex());
+  const auto req = post_recv(lock, data.data(), data.size(), source, tag,
+                             internal, /*staged=*/false);
+  complete_recv(lock, req, "Recv");
+  return req->status;
 }
 
 Request Comm::irecv_bytes(std::span<std::byte> data, int source, int tag,
                           bool internal) {
   if (source != kAnySource) validate_peer(source, "irecv");
   if (!internal && tag != kAnyTag) validate_user_tag(tag, "irecv");
-
-  auto req = std::make_shared<detail::RequestState>();
-  req->kind = detail::RequestState::Kind::kRecv;
-  req->buffer = data.data();
-  req->capacity = data.size();
-  req->source_filter = source;
-  req->tag_filter = tag;
-  req->context = context_;
-  req->internal = internal;
-
   std::unique_lock<std::mutex> lock(runtime_->mutex());
-  detail::RankState& st = state();
-  req->post_time = st.clock;
-  detail::Mailbox& mb = runtime_->mailbox(world_rank_);
-  if (auto m = mb.unexpected.find(source, tag, context_, internal)) {
-    const std::shared_ptr<detail::Envelope> env = m->handle();
-    req->status = Status{env->source, env->tag, env->payload.size()};
-    req->src_world = env->src_world;
-    req->completion_time = detail::charge_ingress(mb, *env, req->post_time);
-    if (env->payload.size() > req->capacity) {
-      std::ostringstream os;
-      os << "message truncation: irecv buffer holds " << req->capacity
-         << " bytes but rank " << env->source << " sent "
-         << env->payload.size() << " bytes (tag " << env->tag << ")";
-      req->error = os.str();
-      env->matched = true;
-      req->done = true;
-      mb.unexpected.erase(*m);
-      runtime_->condvar().notify_all();
-      return Request(req);
-    }
-    // The irecv completed inline, so its own trace event carries the edge
-    // (wait() on this request will find req->trace_seq already consumed).
-    if (!internal) st.last_rx_seq = env->trace_seq;
-    st.stats.copied_bytes += env->payload.size();
-    mb.unexpected.erase(*m);
-    if (env->payload.size() <= kLockedCopyMax) {
-      env->payload.copy_to(req->buffer);
-      env->matched = true;
-      req->done = true;
-    } else {
-      env->consume_in_flight = true;
-      lock.unlock();
-      env->payload.copy_to(req->buffer);
-      lock.lock();
-      env->consume_in_flight = false;
-      env->matched = true;
-      req->done = true;
-    }
-    runtime_->condvar().notify_all();
-    return Request(req);
-  }
-  mb.posted.push_back(req);
-  return Request(req);
+  return Request(post_recv(lock, data.data(), data.size(), source, tag,
+                           internal, /*staged=*/false));
 }
 
 detail::StagedBuffer Comm::stage_acquire(std::size_t n) {
@@ -588,122 +468,13 @@ detail::StagedBuffer Comm::stage_copy(std::span<const std::byte> src) {
   return sb;
 }
 
-void Comm::send_staged(const detail::StagedBuffer& data, int dest, int tag) {
-  validate_peer(dest, "send");
-  const int wdest = to_world(dest);
-  detail::RankState& st = state();
-  const TransportOptions& topt = runtime_->options().transport;
-  auto env = runtime_->acquire_envelope();
-  env->source = rank_;
-  env->src_world = world_rank_;
-  env->dest = wdest;
-  env->tag = tag;
-  env->context = context_;
-  env->internal = true;   // staged traffic is collective-internal
-  env->rendezvous = false;  // and therefore always eager
-  if (data.len == 0) {
-    // empty payload
-  } else if (topt.zero_copy && data.storage) {
-    // Share the staging buffer into the envelope: every hop of a tree or
-    // ring forward references the same bytes.  The buffer must not be
-    // mutated after this point (collectives uphold that discipline).
-    env->payload = detail::Payload::shared_view(data);
-    st.stats.zero_copy_bytes += data.len;
-  } else {
-    env->payload = build_payload(data.view(), /*borrow_ok=*/false, topt,
-                                 runtime_->buffer_pool(), st.stats);
-  }
-
-  // Timing before the seam, seam before the lock (see send_bytes).  A
-  // shared staging buffer crossing the shm/tcp seam is flattened into the
-  // frame by serialization — the refcounted buffer stays valid throughout,
-  // so sharing into the envelope is safe on every backend.
-  const double alpha = cost_model().message_time(world_rank_, wdest, 0);
-  const double overhead = cost_model().send_overhead();
-  env->arrival_head = st.clock + alpha;
-  env->byte_time =
-      cost_model().message_time(world_rank_, wdest, data.len) - alpha;
-  env = runtime_->transport_envelope(std::move(env));
-
-  std::unique_lock<std::mutex> lock(runtime_->mutex());
-  st.stats.transport_bytes_sent += data.len;
-  ++st.stats.transport_messages_sent;
-  auto pending = runtime_->deliver_locked(env);
-  if (pending) {
-    lock.unlock();
-    env->payload.copy_to(pending->buffer);
-    lock.lock();
-    pending->copy_in_flight = false;
-    pending->done = true;
-    env->matched = true;
-    runtime_->condvar().notify_all();
-  }
-  st.clock += overhead;
-  st.stats.sim_comm_seconds += overhead;
-}
-
 detail::StagedBuffer Comm::recv_staged(int source, int tag, Status* status) {
   validate_peer(source, "recv");
-
   std::unique_lock<std::mutex> lock(runtime_->mutex());
-  detail::RankState& st = state();
-  detail::Mailbox& mb = runtime_->mailbox(world_rank_);
-  const bool zero_copy = runtime_->options().transport.zero_copy;
-
-  if (auto m = mb.unexpected.find(source, tag, context_, /*internal=*/true)) {
-    const std::shared_ptr<detail::Envelope> env = m->handle();
-    const Status stt{env->source, env->tag, env->payload.size()};
-    const double completion = detail::charge_ingress(mb, *env, st.clock);
-    st.stats.sim_comm_seconds += completion - st.clock;
-    st.clock = completion;
-    mb.unexpected.erase(*m);
-    detail::StagedBuffer sb;
-    if (stt.bytes == 0) {
-      // empty message
-    } else if (zero_copy && env->payload.shareable()) {
-      sb = env->payload.share();  // adopt, no copy
-      st.stats.zero_copy_bytes += stt.bytes;
-    } else {
-      bool hit = false;
-      detail::Buffer buf = runtime_->buffer_pool().acquire(stt.bytes, &hit);
-      ++(hit ? st.stats.pool_hits : st.stats.pool_misses);
-      env->payload.copy_to(buf->data());
-      sb = detail::StagedBuffer{std::move(buf), 0, stt.bytes};
-      st.stats.copied_bytes += stt.bytes;
-    }
-    env->matched = true;
-    runtime_->condvar().notify_all();
-    if (status != nullptr) *status = stt;
-    return sb;
-  }
-
-  auto req = std::make_shared<detail::RequestState>();
-  req->kind = detail::RequestState::Kind::kRecv;
-  req->want_staged = true;
-  req->capacity = std::numeric_limits<std::size_t>::max();
-  req->source_filter = source;
-  req->tag_filter = tag;
-  req->context = context_;
-  req->internal = true;
-  req->post_time = st.clock;
-  mb.posted.push_back(req);
-
-  try {
-    runtime_->blocking_wait(lock, world_rank_, "Recv (staged)",
-                            [&req] { return req->done; });
-  } catch (...) {
-    if (!req->done) std::erase(mb.posted, req);
-    throw;
-  }
-  if (!req->error.empty()) throw MpiError(req->error);
-  const double completion = std::max(st.clock, req->completion_time);
-  st.stats.sim_comm_seconds += completion - st.clock;
-  st.clock = completion;
-  if (req->staged_shared) {
-    st.stats.zero_copy_bytes += req->status.bytes;
-  } else {
-    st.stats.copied_bytes += req->status.bytes;
-  }
+  const auto req =
+      post_recv(lock, nullptr, std::numeric_limits<std::size_t>::max(),
+                source, tag, /*internal=*/true, /*staged=*/true);
+  complete_recv(lock, req, "Recv (staged)");
   if (status != nullptr) *status = req->status;
   return std::move(req->staged);
 }
@@ -819,7 +590,6 @@ Status Comm::wait_nocount(Request& request) {
   auto rs = request.state_;
 
   std::unique_lock<std::mutex> lock(runtime_->mutex());
-  detail::RankState& st = state();
   if (rs->kind == detail::RequestState::Kind::kSend) {
     const auto& env = rs->envelope;
     if (env->rendezvous && !rs->done) {
@@ -828,41 +598,10 @@ Status Comm::wait_nocount(Request& request) {
       rs->done = true;
       rs->completion_time = env->completion_time;
     }
-    const double completion = std::max(st.clock, rs->completion_time);
-    st.stats.sim_comm_seconds += completion - st.clock;
-    st.clock = completion;
+    adopt_clock(state(), rs->completion_time);
     return Status{};
   }
-
-  try {
-    runtime_->blocking_wait(lock, world_rank_, "Wait (Irecv)",
-                            [&rs] { return rs->done; });
-  } catch (...) {
-    // See recv_bytes: never leave a sender copying into a buffer whose
-    // owner is unwinding, and never leave a dangling posted receive.
-    if (rs->copy_in_flight) {
-      while (!rs->done) runtime_->condvar().wait(lock);
-    } else if (!rs->done) {
-      std::erase(runtime_->mailbox(world_rank_).posted, rs);
-    }
-    throw;
-  }
-  if (!rs->error.empty()) throw MpiError(rs->error);
-  const double completion = std::max(st.clock, rs->completion_time);
-  st.stats.sim_comm_seconds += completion - st.clock;
-  st.clock = completion;
-  if (!rs->internal && !rs->consumed) {
-    st.stats.p2p_bytes_received += rs->status.bytes;
-    ++st.stats.p2p_messages_received;
-    record_channel_received(st, runtime_->options().record_channels,
-                            rs->src_world, rs->status.bytes);
-    // Hand the matched message's edge to the completing operation's trace
-    // event (zero when the irecv fast path already consumed it).
-    if (rs->trace_seq != 0) {
-      st.last_rx_seq = std::exchange(rs->trace_seq, 0);
-    }
-  }
-  rs->consumed = true;
+  complete_recv(lock, rs, "Wait (Irecv)");
   return rs->status;
 }
 
@@ -941,17 +680,10 @@ bool Comm::test(Request& request, Status* status) {
     rs->done = true;
     rs->completion_time = rs->envelope->completion_time;
   }
-  const double completion = std::max(st.clock, rs->completion_time);
-  st.stats.sim_comm_seconds += completion - st.clock;
-  st.clock = completion;
-  if (rs->kind == detail::RequestState::Kind::kRecv && !rs->internal &&
-      !rs->consumed) {
-    st.stats.p2p_bytes_received += rs->status.bytes;
-    ++st.stats.p2p_messages_received;
-    record_channel_received(st, runtime_->options().record_channels,
-                            rs->src_world, rs->status.bytes);
+  adopt_clock(st, rs->completion_time);
+  if (rs->kind == detail::RequestState::Kind::kRecv) {
+    account_recv(st, *rs, runtime_->options().record_channels);
   }
-  rs->consumed = true;
   if (status != nullptr) *status = rs->status;
   return true;
 }
@@ -983,9 +715,7 @@ Status Comm::probe(int source, int tag) {
   runtime_->blocking_wait(lock, world_rank_, "Probe", find_match);
   // Probing reveals the envelope metadata once the message head arrives;
   // the payload itself is ingested by the subsequent receive.
-  const double completion = std::max(st.clock, found->arrival_head);
-  st.stats.sim_comm_seconds += completion - st.clock;
-  st.clock = completion;
+  adopt_clock(st, found->arrival_head);
   lock.unlock();
   trace_end(Primitive::kProbe, found->source, found->tag,
             found->payload.size(), t_begin);
@@ -1104,78 +834,16 @@ Status Comm::recv_reliable_bytes(std::span<std::byte> data, int source,
 bool Comm::recv_ack_timeout(std::span<std::byte> data, int source, int tag,
                             Status* status) {
   std::unique_lock<std::mutex> lock(runtime_->mutex());
-  detail::RankState& st = state();
-  detail::Mailbox& mb = runtime_->mailbox(world_rank_);
-  const ReliableOptions& ro = runtime_->options().reliable;
-
-  // Fast path: the acknowledgement already arrived.  Acks are 8 bytes, so
-  // the copy always happens under the lock.
-  if (auto m = mb.unexpected.find(source, tag, context_, /*internal=*/true)) {
-    const std::shared_ptr<detail::Envelope> env = m->handle();
-    if (env->payload.size() > data.size()) {
-      throw MpiError("reliable delivery: oversized acknowledgement frame");
-    }
-    const Status stt{env->source, env->tag, env->payload.size()};
-    const double completion = detail::charge_ingress(mb, *env, st.clock);
-    st.stats.sim_comm_seconds += completion - st.clock;
-    st.clock = completion;
-    st.stats.copied_bytes += stt.bytes;
-    mb.unexpected.erase(*m);
-    env->payload.copy_to(data.data());
-    env->matched = true;
-    runtime_->condvar().notify_all();
-    if (status != nullptr) *status = stt;
-    return true;
-  }
-
-  // Slow path: post the receive, but let the wait expire when the runtime
-  // proves the whole world is stalled (the ack provably cannot arrive).
-  auto req = std::make_shared<detail::RequestState>();
-  req->kind = detail::RequestState::Kind::kRecv;
-  req->buffer = data.data();
-  req->capacity = data.size();
-  req->source_filter = source;
-  req->tag_filter = tag;
-  req->context = context_;
-  req->internal = true;
-  req->post_time = st.clock;
-  mb.posted.push_back(req);
-
-  detail_runtime::Runtime::WaitOutcome outcome;
-  try {
-    outcome = runtime_->blocking_wait_for(
-        lock, world_rank_, "Recv (reliable ack)",
-        [&req] { return req->done; }, /*can_timeout=*/true);
-  } catch (...) {
-    // See recv_bytes: keep `data` safe across the unwind.
-    if (req->copy_in_flight) {
-      while (!req->done) runtime_->condvar().wait(lock);
-    } else if (!req->done) {
-      std::erase(mb.posted, req);
-    }
-    throw;
-  }
-  bool received = outcome == detail_runtime::Runtime::WaitOutcome::kReady;
-  if (!received) {
-    // The timeout may have raced an arriving ack; a sender mid-copy into
-    // our buffer means the ack did arrive.
-    if (req->copy_in_flight) {
-      while (!req->done) runtime_->condvar().wait(lock);
-    }
-    received = req->done;
-  }
-  if (!received) {
-    std::erase(mb.posted, req);
-    st.clock += ro.timeout_seconds;
-    st.stats.sim_comm_seconds += ro.timeout_seconds;
+  const auto req = post_recv(lock, data.data(), data.size(), source, tag,
+                             /*internal=*/true, /*staged=*/false);
+  // The wait expires when the runtime proves the whole world is stalled
+  // (the ack provably cannot arrive).
+  if (!complete_recv(lock, req, "Recv (reliable ack)", /*can_timeout=*/true)) {
+    detail::RankState& st = state();
+    charge_comm(st, runtime_->options().reliable.timeout_seconds);
     ++st.stats.reliable_timeouts;
     return false;
   }
-  if (!req->error.empty()) throw MpiError(req->error);
-  const double completion = std::max(st.clock, req->completion_time);
-  st.stats.sim_comm_seconds += completion - st.clock;
-  st.clock = completion;
-  st.stats.copied_bytes += req->status.bytes;
   if (status != nullptr) *status = req->status;
   return true;
 }

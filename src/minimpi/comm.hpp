@@ -616,7 +616,32 @@ class Comm {
   void trace_end(Primitive op, int peer, int tag, std::size_t bytes,
                  const TraceStart& t0);
 
-  // Byte-level transport (comm.cpp).
+  // Byte-level transport (comm.cpp).  Every send form goes through
+  // inject(); every receive form posts through post_recv() and completes
+  // through complete_recv().
+  /// Sends one message: fault draw, envelope, timing stamps, the backend
+  /// seam, and delivery.  Charges the injection overhead unless a
+  /// `blocking` send goes rendezvous (the caller then waits for the match).
+  /// `staged`, when given, is the buffer behind `data` to share zero-copy.
+  /// Returns the delivered envelope (an already-matched stand-in when the
+  /// fault plan dropped the message).
+  std::shared_ptr<detail::Envelope> inject(std::span<const std::byte> data,
+                                           const detail::StagedBuffer* staged,
+                                           int dest, int tag, bool internal,
+                                           bool blocking);
+  /// Posts a receive: matches the earliest queued message, or leaves the
+  /// request on the posted list for the sender to match.  Lock held.
+  std::shared_ptr<detail::RequestState> post_recv(
+      std::unique_lock<std::mutex>& lock, std::byte* buffer,
+      std::size_t capacity, int source, int tag, bool internal, bool staged);
+  /// Blocks (labelled `what` in deadlock reports) until `req` matched,
+  /// throws its truncation error, adopts its completion time and books the
+  /// receive counters once.  Returns false only when `can_timeout` and the
+  /// runtime proved the message cannot arrive (the receive is withdrawn).
+  /// Lock held.
+  bool complete_recv(std::unique_lock<std::mutex>& lock,
+                     const std::shared_ptr<detail::RequestState>& req,
+                     const char* what, bool can_timeout = false);
   void send_bytes(std::span<const std::byte> data, int dest, int tag,
                   bool internal);
   Status recv_bytes(std::span<std::byte> data, int source, int tag,

@@ -149,11 +149,6 @@ struct Envelope {
   bool rendezvous = false;  // sender blocks until matched
   bool matched = false;     // receiver has consumed the payload
   bool internal = false;    // collective-internal traffic
-  /// A receiver popped this envelope and is copying the payload out
-  /// without holding the runtime lock; `matched` follows shortly.  An
-  /// unwinding sender must wait for the flag to clear before it may free a
-  /// borrowed payload.
-  bool consume_in_flight = false;
   /// Mailbox arrival order, stamped by UnexpectedQueue::push (wildcard-tag
   /// receives must match the earliest arrival across all tag buckets).
   std::uint64_t seq = 0;
@@ -175,7 +170,7 @@ struct Envelope {
 
   void reset() {
     payload.reset();
-    rendezvous = matched = internal = consume_in_flight = false;
+    rendezvous = matched = internal = false;
     src_world = 0;
     seq = 0;
     trace_seq = 0;
@@ -207,18 +202,20 @@ struct RequestState {
   int context = 0;
   bool internal = false;
   double post_time = 0.0;
-  /// A sender matched this request and is copying the payload into
-  /// `buffer` without holding the runtime lock; `done` follows shortly.
+  /// Runtime::match is copying the payload into `buffer` without holding
+  /// the runtime lock (on the sender's thread when the receive was posted
+  /// first); `done` follows shortly.
   /// An unwinding receiver must wait for the flag to clear before its
   /// buffer may go out of scope.
   bool copy_in_flight = false;
 
   // Staged-receive fields (collective-internal zero-copy path): when
-  // `want_staged`, the matching sender parks the payload here — a shared
+  // `want_staged`, Runtime::match parks the payload here — a shared
   // view when the payload is a heap buffer and zero-copy is on, a pooled
   // copy otherwise — instead of copying into `buffer`.
   bool want_staged = false;
   bool staged_shared = false;  // true when adopted without a copy
+  bool pool_hit = false;       // the pooled copy reused a free buffer
   StagedBuffer staged;
 
   // Send fields.
@@ -448,8 +445,8 @@ struct Mailbox {
 };
 
 /// Receiver-side ingress serialization, the one timing rule of every
-/// receive: the payload streams in only after `floor` (the receiver's
-/// clock, or a posted receive's post time), the head's arrival, and the
+/// receive (applied by Runtime::match alone): the payload streams in only
+/// after `floor` (the receive's post time), the head's arrival, and the
 /// end of earlier payloads on this rank's link.  Occupies the link until
 /// the completion, stamps it on the envelope, and returns it.
 inline double charge_ingress(Mailbox& mb, Envelope& env, double floor) {

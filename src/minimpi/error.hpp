@@ -37,4 +37,14 @@ class RankFailedError : public AbortError {
   using AbortError::AbortError;
 };
 
+namespace detail {
+
+/// Argument check of the collective implementations: throws MpiError(what)
+/// unless `ok`.
+inline void require(bool ok, const char* what) {
+  if (!ok) throw MpiError(what);
+}
+
+}  // namespace detail
+
 }  // namespace dipdc::minimpi

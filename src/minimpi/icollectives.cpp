@@ -34,13 +34,7 @@
 
 namespace dipdc::minimpi {
 
-namespace {
-
-void require(bool ok, const char* what) {
-  if (!ok) throw MpiError(what);
-}
-
-}  // namespace
+using detail::require;
 
 Request Comm::ibcast_bytes(std::span<std::byte> data, int root) {
   validate_peer(root, "ibcast");

@@ -41,6 +41,10 @@ perfmodel::CostModel make_cost_model(const RuntimeOptions& options,
   return {machine, options.placement, nranks};
 }
 
+/// Payloads up to this size are copied while holding the runtime lock (one
+/// lock round-trip beats two for small memcpys); larger copies release it.
+constexpr std::size_t kLockedCopyMax = 4096;
+
 }  // namespace
 
 Runtime::Runtime(int nranks, RuntimeOptions options)
@@ -103,76 +107,64 @@ std::shared_ptr<detail::Envelope> Runtime::transport_envelope(
   return delivered;
 }
 
-std::shared_ptr<detail::RequestState> Runtime::deliver_locked(
-    const std::shared_ptr<detail::Envelope>& env) {
-  // Payloads up to this size are copied while holding the lock (one lock
-  // round-trip); larger ones are copied by the caller outside the lock.
-  constexpr std::size_t kLockedCopyMax = 4096;
-
+void Runtime::deliver(std::unique_lock<std::mutex>& lock,
+                      const std::shared_ptr<detail::Envelope>& env) {
   detail::Mailbox& mb = mailbox(env->dest);
   for (auto it = mb.posted.begin(); it != mb.posted.end(); ++it) {
-    const std::shared_ptr<detail::RequestState> req = *it;
-    if (!detail::filters_match(req->source_filter, req->tag_filter,
-                               req->context, req->internal, *env)) {
+    if (!detail::filters_match((*it)->source_filter, (*it)->tag_filter,
+                               (*it)->context, (*it)->internal, *env)) {
       continue;
     }
-    req->status = Status{env->source, env->tag, env->payload.size()};
-    req->src_world = env->src_world;
-    req->trace_seq = env->trace_seq;
-    req->completion_time = detail::charge_ingress(mb, *env, req->post_time);
+    const std::shared_ptr<detail::RequestState> req = *it;
     mb.posted.erase(it);
-
-    if (req->want_staged) {
-      // Collective-internal staged receive: adopt the shared payload
-      // buffer when allowed, otherwise park a pooled copy.  Non-shareable
-      // internal payloads are inline (<= Payload::kMaxInline bytes), so
-      // the fallback copy under the lock is cheap.
-      if (options_.transport.zero_copy && env->payload.shareable()) {
-        req->staged = env->payload.share();
-        req->staged_shared = true;
-      } else if (env->payload.size() > 0) {
-        detail::Buffer buf =
-            buffer_pool_->acquire(env->payload.size(), nullptr);
-        env->payload.copy_to(buf->data());
-        req->staged =
-            detail::StagedBuffer{std::move(buf), 0, env->payload.size()};
-      }
-      env->matched = true;
-      req->done = true;
-      cv_.notify_all();
-      return nullptr;
-    }
-
-    if (env->payload.size() > req->capacity) {
-      std::ostringstream os;
-      os << "message truncation: rank " << env->dest << " posted a "
-         << req->capacity << "-byte receive but rank " << env->source
-         << " sent " << env->payload.size() << " bytes (tag " << env->tag
-         << ")";
-      req->error = os.str();
-      env->matched = true;
-      req->done = true;
-      cv_.notify_all();
-      return nullptr;
-    }
-
-    if (env->payload.size() <= kLockedCopyMax) {
-      env->payload.copy_to(req->buffer);
-      env->matched = true;
-      req->done = true;
-      cv_.notify_all();
-      return nullptr;
-    }
-
-    // Defer the large memcpy to the caller, outside the lock.  The flag
-    // keeps the receiver from unwinding (on abort) while its buffer is
-    // still being written.
-    req->copy_in_flight = true;
-    return req;
+    match(lock, *env, *req);
+    return;
   }
   mb.unexpected.push(env);
   cv_.notify_all();
-  return nullptr;
+}
+
+void Runtime::match(std::unique_lock<std::mutex>& lock, detail::Envelope& env,
+                    detail::RequestState& req) {
+  const std::size_t n = env.payload.size();
+  req.status = Status{env.source, env.tag, n};
+  req.src_world = env.src_world;
+  req.trace_seq = env.trace_seq;
+  req.completion_time =
+      detail::charge_ingress(mailbox(env.dest), env, req.post_time);
+  if (n > req.capacity) {
+    std::ostringstream os;
+    os << "message truncation: rank " << env.dest << " posted a "
+       << req.capacity << "-byte receive but rank " << env.source << " sent "
+       << n << " bytes (tag " << env.tag << ")";
+    req.error = os.str();
+  } else if (req.want_staged) {
+    // Collective-internal staged receive: adopt the shared payload buffer
+    // when allowed, otherwise park a pooled copy.  Non-shareable internal
+    // payloads are inline (<= Payload::kMaxInline bytes), so the fallback
+    // copy under the lock is cheap.
+    if (options_.transport.zero_copy && env.payload.shareable()) {
+      req.staged = env.payload.share();
+      req.staged_shared = true;
+    } else if (n > 0) {
+      detail::Buffer buf = buffer_pool_->acquire(n, &req.pool_hit);
+      env.payload.copy_to(buf->data());
+      req.staged = detail::StagedBuffer{std::move(buf), 0, n};
+    }
+  } else if (n > kLockedCopyMax) {
+    // The copy_in_flight flag keeps the receiver from unwinding (on abort)
+    // while its buffer is still being written.
+    req.copy_in_flight = true;
+    lock.unlock();
+    env.payload.copy_to(req.buffer);
+    lock.lock();
+    req.copy_in_flight = false;
+  } else {
+    env.payload.copy_to(req.buffer);
+  }
+  env.matched = true;
+  req.done = true;
+  cv_.notify_all();
 }
 
 void Runtime::blocking_wait(std::unique_lock<std::mutex>& lock, int rank,

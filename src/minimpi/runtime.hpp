@@ -90,16 +90,22 @@ class Runtime {
     return envelope_pool_->acquire();
   }
 
-  /// Delivers an envelope: matches a posted receive if possible, otherwise
-  /// queues it as unexpected.  Lock must be held.
-  ///
-  /// Returns non-null when the envelope matched a posted receive whose
-  /// payload copy was deferred: the caller must release the lock, copy the
-  /// payload into the request's buffer, re-acquire the lock, clear
-  /// copy_in_flight, set req->done and env->matched, and notify.  (Large
-  /// memcpys are kept outside the global lock this way.)
-  [[nodiscard]] std::shared_ptr<detail::RequestState> deliver_locked(
-      const std::shared_ptr<detail::Envelope>& env);
+  /// Delivers an envelope: matches the earliest posted receive it
+  /// satisfies, otherwise queues it as unexpected.  Lock must be held (see
+  /// match for when it is released).
+  void deliver(std::unique_lock<std::mutex>& lock,
+               const std::shared_ptr<detail::Envelope>& env);
+
+  /// The one receive-match step, run by whichever side comes second: the
+  /// sender delivering to an already-posted receive (deliver) or the
+  /// receiver finding the message already queued (Comm::post_recv).  Fills
+  /// the request's status, charges ingress at its post time, checks
+  /// truncation, adopts or copies the payload, then marks both sides done
+  /// and notifies.  `env` must already be off the unexpected queue and
+  /// `req` off the posted list.  Lock must be held; it is released around
+  /// large payload copies (memcpys stay outside the global lock).
+  void match(std::unique_lock<std::mutex>& lock, detail::Envelope& env,
+             detail::RequestState& req);
 
   /// Blocks `rank` until pred() holds.  Lock must be held (and is released
   /// while sleeping).  Throws DeadlockError/AbortError/RankFailedError on

@@ -2,8 +2,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstddef>
 #include <numeric>
 #include <set>
+#include <thread>
 #include <vector>
 
 #include "minimpi/comm.hpp"
@@ -248,19 +251,100 @@ TEST(P2P, SendToSelfEagerWorks) {
   });
 }
 
+// ---- One receive path -----------------------------------------------------
+// A blocking receive is an irecv followed by its wait, and the same match
+// step runs whichever side comes second: the receiver finding the message
+// queued, or the sender finding the receive posted.
+
+/// Which side of an exchange reaches the match first.
+enum class Arrival { kMessageFirst, kReceiveFirst };
+
+/// Rank 0 sends `bytes` into a `capacity`-byte receive on rank 1, taken by
+/// a blocking recv or by irecv + wait.  Message-first is forced: rank 1
+/// polls iprobe (sim-neutral) until the message is queued.  Receive-first
+/// is steered by holding the send back in real time; simulated results may
+/// not depend on the order, so the steering only picks the code path.
+mpi::RunResult exchange(Arrival order, bool nonblocking, std::size_t bytes,
+                        std::size_t capacity) {
+  return mpi::run(2, [&](mpi::Comm& comm) {
+    if (comm.rank() == 0) {
+      const std::vector<std::byte> data(bytes, std::byte{7});
+      comm.sim_advance(3e-5);
+      if (order == Arrival::kReceiveFirst) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+      }
+      comm.send(std::span<const std::byte>(data), 1, 5);
+    } else {
+      std::vector<std::byte> buf(capacity);
+      comm.sim_advance(1e-5);
+      if (order == Arrival::kMessageFirst) {
+        while (!comm.iprobe(0, 5)) std::this_thread::yield();
+      }
+      if (nonblocking) {
+        mpi::Request req = comm.irecv(std::span<std::byte>(buf), 0, 5);
+        comm.wait(req);
+      } else {
+        comm.recv(std::span<std::byte>(buf), 0, 5);
+      }
+    }
+  });
+}
+
+// Eager (inline and heap), off-lock copy, and rendezvous payloads.
+constexpr std::size_t kExchangeSizes[] = {64, 8192, 100000};
+
 TEST(P2P, TruncationIsAnError) {
-  EXPECT_THROW(
-      mpi::run(2,
-               [](mpi::Comm& comm) {
-                 if (comm.rank() == 0) {
-                   std::vector<int> big(10, 1);
-                   comm.send(std::span<const int>(big), 1);
-                 } else {
-                   int small = 0;
-                   comm.recv(std::span<int>(&small, 1), 0);
-                 }
-               }),
-      mpi::MpiError);
+  for (const Arrival order : {Arrival::kMessageFirst, Arrival::kReceiveFirst}) {
+    for (const bool nonblocking : {false, true}) {
+      for (const std::size_t bytes : kExchangeSizes) {
+        EXPECT_THROW(exchange(order, nonblocking, bytes, bytes / 4),
+                     mpi::MpiError)
+            << "receive-first=" << (order == Arrival::kReceiveFirst)
+            << " nonblocking=" << nonblocking << " bytes=" << bytes;
+      }
+    }
+  }
+}
+
+TEST(P2P, BlockingRecvEqualsIrecvWaitBitForBit) {
+  for (const Arrival order : {Arrival::kMessageFirst, Arrival::kReceiveFirst}) {
+    for (const std::size_t bytes : kExchangeSizes) {
+      const mpi::RunResult blocking = exchange(order, false, bytes, bytes);
+      const mpi::RunResult split = exchange(order, true, bytes, bytes);
+      for (int r = 0; r < 2; ++r) {
+        const auto i = static_cast<std::size_t>(r);
+        EXPECT_EQ(blocking.sim_times[i], split.sim_times[i])
+            << "rank " << r << " bytes=" << bytes;
+        EXPECT_EQ(blocking.rank_stats[i].sim_comm_seconds,
+                  split.rank_stats[i].sim_comm_seconds)
+            << "rank " << r << " bytes=" << bytes;
+      }
+    }
+  }
+}
+
+TEST(P2P, IrecvCountsCopiedBytesOnceOnEitherPath) {
+  constexpr std::size_t kBytes = 1000;
+  const auto result = mpi::run(2, [](mpi::Comm& comm) {
+    std::vector<std::byte> buf(kBytes, std::byte{1});
+    if (comm.rank() == 1) {
+      // Posted first: an empty message (which copies nothing) tells rank 0
+      // the receive is up.
+      mpi::Request posted = comm.irecv(std::span<std::byte>(buf), 0, 6);
+      comm.send(std::span<const std::byte>{}, 0, 50);
+      comm.wait(posted);
+      EXPECT_TRUE(comm.test(posted));  // completing again books nothing
+      // Message first.
+      while (!comm.iprobe(0, 7)) std::this_thread::yield();
+      mpi::Request queued = comm.irecv(std::span<std::byte>(buf), 0, 7);
+      comm.wait(queued);
+    } else {
+      comm.recv(std::span<std::byte>{}, 1, 50);
+      comm.send(std::span<const std::byte>(buf), 1, 6);
+      comm.send(std::span<const std::byte>(buf), 1, 7);
+    }
+  });
+  EXPECT_EQ(result.rank_stats[1].copied_bytes, 2 * kBytes);
 }
 
 TEST(P2P, InvalidPeerRejected) {

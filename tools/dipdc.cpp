@@ -30,6 +30,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <initializer_list>
 #include <optional>
 #include <string>
 #include <vector>
@@ -179,9 +180,35 @@ void maybe_reports(const Common& c, const mpi::RunResult& result) {
                           .c_str());
 }
 
+/// An option value, or combination, the chosen mode would silently ignore
+/// (or die on inside the ranks): rejected up front, before any rank starts.
+int reject(const std::string& why) {
+  std::fprintf(stderr, "error: %s\n", why.c_str());
+  return 2;
+}
+
+/// Reads the choice option --`key` into `value`; the first accepted value
+/// is the default.  Any other value is rejected (returns reject()'s exit
+/// code) instead of silently falling back to the default; 0 otherwise.
+int choose(const ArgParser& args, const char* key,
+           std::initializer_list<const char*> accepted, std::string& value) {
+  value = args.get(key, *accepted.begin());
+  std::string names;
+  for (const char* a : accepted) {
+    if (value == a) return 0;
+    names += names.empty() ? a : std::string("|") + a;
+  }
+  return reject("unknown --" + std::string(key) + " '" + value + "' (" +
+                names + ")");
+}
+
 int run_module1(const ArgParser& args, const Common& c) {
   namespace m1 = dipdc::modules::comm1;
-  const std::string activity = args.get("activity", "pingpong");
+  std::string activity;
+  if (const int rc =
+          choose(args, "activity", {"pingpong", "ring", "random"}, activity)) {
+    return rc;
+  }
   const auto iterations = static_cast<int>(args.get_int("iterations", 100));
   const auto bytes_n =
       static_cast<std::size_t>(args.get_int("bytes", 1024));
@@ -202,7 +229,7 @@ int run_module1(const ArgParser& args, const Common& c) {
             std::printf("ring: token after %d rounds = %lld\n", r.rounds,
                         static_cast<long long>(r.token));
           }
-        } else if (activity == "random") {
+        } else {
           const auto r = m1::random_comm_any_source(comm, messages, c.seed);
           if (comm.rank() == 0) {
             std::printf("random comm: %llu sent / %llu received per rank, "
@@ -211,24 +238,11 @@ int run_module1(const ArgParser& args, const Common& c) {
                         static_cast<unsigned long long>(r.messages_received),
                         r.payloads_consistent ? "consistent" : "CORRUPT");
           }
-        } else {
-          if (comm.rank() == 0) {
-            std::printf("unknown --activity '%s' "
-                        "(pingpong|ring|random)\n",
-                        activity.c_str());
-          }
         }
       },
       options_for(c));
   maybe_reports(c, result);
   return 0;
-}
-
-/// An option combination the chosen mode would silently ignore (or die on
-/// inside the ranks): rejected up front, before any rank starts.
-int reject(const char* why) {
-  std::fprintf(stderr, "error: %s\n", why);
-  return 2;
 }
 
 int run_module2(const ArgParser& args, const Common& c) {
@@ -283,11 +297,18 @@ int run_module2(const ArgParser& args, const Common& c) {
 int run_module3(const ArgParser& args, const Common& c) {
   namespace m3 = dipdc::modules::distsort;
   const auto n = static_cast<std::size_t>(args.get_int("n", 100000));
-  const bool exponential = args.get("dist", "uniform") == "exponential";
+  std::string dist;
+  std::string policy;
+  if (const int rc = choose(args, "dist", {"uniform", "exponential"}, dist)) {
+    return rc;
+  }
+  if (const int rc = choose(args, "policy", {"width", "histogram"}, policy)) {
+    return rc;
+  }
+  const bool exponential = dist == "exponential";
   m3::Config cfg;
-  cfg.policy = args.get("policy", "width") == "histogram"
-                   ? m3::SplitterPolicy::kHistogram
-                   : m3::SplitterPolicy::kEqualWidth;
+  cfg.policy = policy == "histogram" ? m3::SplitterPolicy::kHistogram
+                                     : m3::SplitterPolicy::kEqualWidth;
   cfg.lo = 0.0;
   cfg.hi = 10.0;
   cfg.kernel = c.kernel;
@@ -363,12 +384,17 @@ int run_module3(const ArgParser& args, const Common& c) {
 /// under sustained open-loop load (modules/rangequery/serving.hpp).
 int run_module4_serve(const ArgParser& args, const Common& c) {
   namespace m4 = dipdc::modules::rangequery;
+  std::string mix;
+  if (const int rc =
+          choose(args, "mix", {"uniform", "hotspot", "zipf"}, mix)) {
+    return rc;
+  }
   m4::ServeConfig cfg;
   cfg.n_points = static_cast<std::size_t>(args.get_int("n", 50000));
   cfg.side = args.get_double("side", 4.0);
   cfg.qps = args.get_double("qps", 4000.0);
   cfg.duration = args.get_double("duration", 1.0);
-  cfg.mix = m4::parse_mix(args.get("mix", "uniform"));
+  cfg.mix = m4::parse_mix(mix);
   cfg.hot_fraction = args.get_double("hot-fraction", 0.9);
   cfg.zipf_s = args.get_double("zipf", 1.1);
   cfg.batch = static_cast<std::size_t>(args.get_int("batch", 16));
@@ -412,7 +438,12 @@ int run_module4(const ArgParser& args, const Common& c) {
   if (args.get_bool("serve", false)) return run_module4_serve(args, c);
   const auto n = static_cast<std::size_t>(args.get_int("n", 50000));
   const auto nq = static_cast<std::size_t>(args.get_int("queries", 512));
-  const std::string engine_name = args.get("engine", "brute");
+  std::string engine_name;
+  if (const int rc = choose(args, "engine",
+                            {"brute", "rtree", "quadtree", "kdtree"},
+                            engine_name)) {
+    return rc;
+  }
   m4::Config cfg;
   cfg.engine = engine_name == "rtree"      ? m4::Engine::kRTree
                : engine_name == "quadtree" ? m4::Engine::kQuadTree
@@ -444,13 +475,17 @@ int run_module4(const ArgParser& args, const Common& c) {
 
 int run_module5(const ArgParser& args, const Common& c) {
   namespace m5 = dipdc::modules::kmeans;
+  std::string strategy;
+  if (const int rc =
+          choose(args, "strategy", {"weighted", "explicit"}, strategy)) {
+    return rc;
+  }
   const auto n = static_cast<std::size_t>(args.get_int("n", 50000));
   const auto k = static_cast<std::size_t>(args.get_int("k", 8));
   m5::Config cfg;
   cfg.k = k;
-  cfg.strategy = args.get("strategy", "weighted") == "explicit"
-                     ? m5::Strategy::kExplicitAssignments
-                     : m5::Strategy::kWeightedMeans;
+  cfg.strategy = strategy == "explicit" ? m5::Strategy::kExplicitAssignments
+                                        : m5::Strategy::kWeightedMeans;
   cfg.kernel = c.kernel;
   const bool elastic_on = args.get_bool("repartition", false);
   const double threshold = args.get_double("imbalance-threshold", 1.25);
@@ -512,15 +547,18 @@ int run_module6(const ArgParser& args, const Common& c) {
 
 int run_module7(const ArgParser& args, const Common& c) {
   namespace m7 = dipdc::modules::mapreduce;
+  std::string partition;
+  if (const int rc = choose(args, "partition", {"hash", "range"}, partition)) {
+    return rc;
+  }
   const auto n = static_cast<std::size_t>(args.get_int("tokens", 1000000));
   const auto vocab =
       static_cast<std::uint64_t>(args.get_int("vocab", 1 << 15));
   m7::Config cfg;
   cfg.vocabulary = vocab;
   cfg.map_side_combine = !args.get_bool("no-combine", false);
-  cfg.partitioning = args.get("partition", "hash") == "range"
-                         ? m7::Partitioning::kRange
-                         : m7::Partitioning::kHash;
+  cfg.partitioning = partition == "range" ? m7::Partitioning::kRange
+                                          : m7::Partitioning::kHash;
   const auto tokens =
       io::generate_zipf_tokens(n, vocab, args.get_double("zipf", 1.1),
                                c.seed);
