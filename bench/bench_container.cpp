@@ -89,10 +89,12 @@ int main() {
               kTotal);
   std::printf("%5s %5s %10s %7s %6s %12s  %s\n", "ranks", "skew", "threshold",
               "reparts", "noops", "moved-elems", "max sim time");
+  bool converged = true;
   for (const int ranks : rank_counts) {
     for (const double skew : skews) {
       for (const double threshold : thresholds) {
         const Cell cell = run_cell(ranks, skew, threshold);
+        converged = converged && cell.noops >= 1;
         std::printf("%5d %5.1f %10.2f %7llu %6llu %12llu  %s\n", ranks, skew,
                     threshold,
                     static_cast<unsigned long long>(cell.repartitions),
@@ -109,5 +111,9 @@ int main() {
       "skew; the second\nrebalance at each cell is always a no-op (noops "
       ">= 1), the determinism that\nkeeps threshold-boundary weights from "
       "ping-ponging.\n");
+  if (!converged) {
+    std::fprintf(stderr, "a second rebalance moved elements again\n");
+    return 1;
+  }
   return 0;
 }

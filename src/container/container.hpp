@@ -10,17 +10,20 @@
 //     alltoallv exchange (data and weights move together).  Every rank
 //     derives the cuts independently from the same allgathered weight
 //     vector with pure integer arithmetic, then an allreduce(MIN) over an
-//     FNV hash of the cuts asserts agreement.  When the new cuts equal the
-//     old ones nothing is exchanged, so calling rebalance() repeatedly at a
-//     threshold boundary cannot ping-pong.
+//     FNV hash of the cuts asserts agreement.  rebalance(t) first decides
+//     from one allgather of the p quantized part sums and pays for the
+//     weight allgatherv only when the imbalance exceeds t.  When the new
+//     cuts equal the old ones nothing is exchanged, so calling rebalance()
+//     repeatedly at a threshold boundary cannot ping-pong.
 //   * adopt(new_local) — the owner-computes escape hatch: an algorithm that
 //     already exchanged data itself (e.g. a bucket sort) hands the
 //     container its new local slab and the container rebuilds the cuts from
 //     one allgather of the per-rank counts.  Weights reset to 1.
 //
-// Fault tolerance is explicit, not ambient.  checkpoint(blob) snapshots the
+// Fault tolerance is explicit, not ambient.  checkpoint(blob) packs the
 // local slab (plus an opaque, globally replicated blob — iteration state)
-// and mirrors it to the ring buddy (rank+1)%p with two sendrecvs.  After a
+// into one wire image, keeps it, and mirrors it to the ring buddy
+// (rank+1)%p, which keeps the received image as it arrived.  After a
 // rank kill the survivors shrink the communicator (Comm::shrink()) and call
 // recover(new_comm): the survivors agree on the newest checkpoint
 // generation that every self ring and the dead rank's buddy ring can serve,
@@ -191,11 +194,13 @@ class Container {
 
   /// Recomputes weight-driven cuts and exchanges data to match.  Returns
   /// true when ownership changed (an exchange happened).  Collective:
-  /// one allgather + one allreduce, plus two alltoallv when data moves.
+  /// one allgatherv + one allreduce, plus two alltoallv when data moves.
   bool repartition() { return repartition_impl(0.0); }
 
   /// Like repartition(), but only re-cuts when the measured imbalance
-  /// (max part weight / mean part weight) exceeds `threshold`.  Calling it
+  /// (max part weight / mean part weight) exceeds `threshold`.  Collective:
+  /// one allgather of the p part sums, followed by repartition()'s
+  /// collectives only when the imbalance exceeds `threshold`.  Calling it
   /// again with unchanged weights is always a no-op, so a threshold
   /// boundary cannot ping-pong.
   bool rebalance(double threshold) { return repartition_impl(threshold); }
@@ -221,50 +226,49 @@ class Container {
   /// Snapshots the local slab plus an opaque `blob` (must be identical on
   /// every rank — replicated iteration state such as the current centroids)
   /// and mirrors the snapshot to the ring buddy (rank+1)%p.  Collective in
-  /// effect: two sendrecvs around the ring.
+  /// effect: two sendrecvs around the ring.  A snapshot is kept as its
+  /// packed wire image, so the one pack below is both the self snapshot and
+  /// the send buffer, and the buddy's image is received straight into the
+  /// buffer it is kept in.
   void checkpoint(std::span<const std::byte> blob) {
     minimpi::Comm::Phase ph(*comm_, "partition.checkpoint");
-    Snapshot snap;
-    snap.valid = true;
-    snap.generation = next_generation_;
-    snap.cuts = part_.cuts();
-    snap.data = data_;
-    snap.weights = weights_;
-    snap.blob.assign(blob.begin(), blob.end());
-    const int p = comm_->size();
-    WireHeader mine{next_generation_,
-                    static_cast<std::uint64_t>(snap.weights.size()),
-                    static_cast<std::uint64_t>(snap.blob.size()),
-                    static_cast<std::uint64_t>(snap.cuts.size())};
-    const std::vector<std::byte> tx =
-        p > 1 ? pack_snapshot(snap) : std::vector<std::byte>{};
+    const WireHeader mine{next_generation_,
+                          static_cast<std::uint64_t>(weights_.size()),
+                          static_cast<std::uint64_t>(blob.size()),
+                          static_cast<std::uint64_t>(part_.cuts().size())};
     // The self snapshot is pushed before any communication: a rank that
     // has *entered* checkpoint(g) can always serve its own slab at g,
     // because container state cannot change between here and the rank's
     // next collective even when the ring exchange below is cut short by a
     // failure.
-    push_ring(self_, std::move(snap));
+    pack_into(spare_, mine, blob);
+    push_ring(self_);
     ++next_generation_;
     ++stats_.checkpoints;
+    const int p = comm_->size();
     if (p == 1) return;
     const int to = (comm_->rank() + 1) % p;
     const int from = (comm_->rank() - 1 + p) % p;
     WireHeader peer{};
     comm_->sendrecv(std::span<const WireHeader>(&mine, 1), to, kWireTag,
                     std::span<WireHeader>(&peer, 1), from, kWireTag);
-    std::vector<std::byte> rx(wire_bytes(peer));
+    // The buddy image lands in the spare, never in a ring slot: all three
+    // buddy generations stay servable until it has fully arrived.
+    spare_.head = peer;
+    spare_.bytes.resize(wire_bytes(peer));
     // Payload leg as irecv + send + wait: every rank posts its receive
     // before sending, so the ring cannot deadlock, and a snapshot that
     // fully arrived before a failure aborted the exchange is salvaged —
     // recovery can then still serve the sender's slab at this generation.
-    minimpi::Request pr = comm_->irecv(std::span<std::byte>(rx), from,
-                                       kWireTag);
+    minimpi::Request pr = comm_->irecv(std::span<std::byte>(spare_.bytes),
+                                       from, kWireTag);
     try {
-      comm_->send(std::span<const std::byte>(tx), to, kWireTag);
+      comm_->send(std::span<const std::byte>(self_[0].bytes), to, kWireTag);
       comm_->wait(pr);
     } catch (...) {
-      // Drain or unpost the pending receive before `rx` dies; wait()
-      // either completes it or removes the posted entry when it throws.
+      // Drain or unpost the pending receive before the spare is reused;
+      // wait() either completes it or removes the posted entry when it
+      // throws.
       bool arrived = false;
       try {
         comm_->wait(pr);
@@ -272,11 +276,13 @@ class Container {
       } catch (...) {
       }
       if (arrived || comm_->test(pr)) {
-        push_ring(buddy_, unpack_snapshot(peer, rx));
+        spare_.valid = true;
+        push_ring(buddy_);
       }
       throw;
     }
-    push_ring(buddy_, unpack_snapshot(peer, rx));
+    spare_.valid = true;
+    push_ring(buddy_);
   }
 
   /// Shrink-recover protocol: call on every survivor after Comm::shrink(),
@@ -310,12 +316,12 @@ class Container {
     // survivors pick the same generation without a bcast.
     RecoverMeta mine{};
     mine.old_rank = oc.rank();
+    const auto gen_of = [](const Snapshot& s) {
+      return s.valid ? static_cast<std::int64_t>(s.head.generation) : -1;
+    };
     for (std::size_t s = 0; s < kRing; ++s) {
-      mine.self_gens[s] =
-          self_[s].valid ? static_cast<std::int64_t>(self_[s].generation) : -1;
-      mine.buddy_gens[s] =
-          buddy_[s].valid ? static_cast<std::int64_t>(buddy_[s].generation)
-                          : -1;
+      mine.self_gens[s] = gen_of(self_[s]);
+      mine.buddy_gens[s] = gen_of(buddy_[s]);
     }
     std::vector<RecoverMeta> all(static_cast<std::size_t>(new_p));
     new_comm.allgather(std::span<const RecoverMeta>(&mine, 1),
@@ -330,9 +336,8 @@ class Container {
     const std::int64_t gen = pick_generation(all, holder_new);
     ++stats_.recoveries;
     if (gen >= 0) {
-      restore_from_snapshots(new_comm, all, holder_new, dead_old, gen);
       std::vector<std::byte> blob =
-          ring_at(self_, gen).blob;  // copy before the rings are cleared
+          restore_from_snapshots(new_comm, all, holder_new, dead_old, gen);
       finish_recovery(new_comm, static_cast<std::uint64_t>(gen) + 1);
       return blob;
     }
@@ -364,9 +369,16 @@ class Container {
     std::uint64_t ncuts = 0;
   };
 
+  /// One checkpoint generation as its wire image: `bytes` holds
+  /// cuts | data | weights | blob, packed as `head` sizes them.
   struct Snapshot {
     bool valid = false;
-    std::uint64_t generation = 0;
+    WireHeader head{};
+    std::vector<std::byte> bytes;
+  };
+
+  /// A snapshot unpacked for recovery.
+  struct Unpacked {
     std::vector<std::size_t> cuts;
     std::vector<T> data;
     std::vector<double> weights;
@@ -385,25 +397,39 @@ class Container {
     minimpi::Comm::Phase ph(*comm_, "partition.repartition");
     const int p = comm_->size();
     const int me = comm_->rank();
-    // (1) Everyone learns every element's weight; the recv layout is the
+    // (1) A threshold rebalance decides from the p part sums: the same
+    // integers and the same formula Partitioning::imbalance would apply to
+    // every weight, so a call that keeps the cuts costs one p-word
+    // allgather instead of an n-word allgatherv.
+    if (threshold > 0.0) {
+      std::uint64_t mine = 0;
+      for (const double w : weights_) mine += quantize_weight(w);
+      std::vector<std::uint64_t> sums(static_cast<std::size_t>(p));
+      comm_->allgather(std::span<const std::uint64_t>(&mine, 1),
+                       std::span<std::uint64_t>(sums));
+      if (Partitioning::imbalance_of_sums(sums) <= threshold) {
+        ++stats_.rebalance_noops;
+        return false;
+      }
+    }
+    // (2) Everyone learns every element's weight; the recv layout is the
     // current cuts, which all ranks already share.
-    const std::vector<std::uint64_t> local_q = quantize_weights(weights_);
+    local_q_.resize(weights_.size());
+    std::transform(weights_.begin(), weights_.end(), local_q_.begin(),
+                   [](double w) { return quantize_weight(w); });
     std::vector<std::size_t> counts(static_cast<std::size_t>(p));
     std::vector<std::size_t> displs(static_cast<std::size_t>(p));
     for (int r = 0; r < p; ++r) {
       counts[static_cast<std::size_t>(r)] = part_.count(r);
       displs[static_cast<std::size_t>(r)] = part_.begin(r);
     }
-    std::vector<std::uint64_t> global_q(part_.total());
-    comm_->allgatherv(std::span<const std::uint64_t>(local_q), counts, displs,
-                      std::span<std::uint64_t>(global_q));
-    // (2) Derive the cuts locally — pure integer arithmetic over identical
+    global_q_.resize(part_.total());
+    comm_->allgatherv(std::span<const std::uint64_t>(local_q_), counts,
+                      displs, std::span<std::uint64_t>(global_q_));
+    // (3) Derive the cuts locally — pure integer arithmetic over identical
     // input, so every rank lands on the same vector.
-    Partitioning next = part_;
-    if (threshold <= 0.0 || part_.imbalance(global_q) > threshold) {
-      next = Partitioning::from_weights(global_q, p);
-    }
-    // (3) Cheap agreement assertion: MIN-allreduce an FNV hash of the cuts
+    const Partitioning next = Partitioning::from_weights(global_q_, p);
+    // (4) Cheap agreement assertion: MIN-allreduce an FNV hash of the cuts
     // (MIN rather than XOR so mirrored disagreement cannot cancel out).
     const auto cut_bytes = std::as_bytes(std::span<const std::size_t>(
         next.cuts().data(), next.cuts().size()));
@@ -414,7 +440,7 @@ class Container {
       throw minimpi::MpiError(
           "repartition: ranks disagree on the new cuts");
     }
-    // (4) Move only when ownership changed.
+    // (5) Move only when ownership changed.
     if (next == part_) {
       ++stats_.rebalance_noops;
       return false;
@@ -480,16 +506,21 @@ class Container {
 
   // ---- Snapshot ring -------------------------------------------------------
 
-  static void push_ring(std::array<Snapshot, kRing>& ring, Snapshot snap) {
-    ring[2] = std::move(ring[1]);
-    ring[1] = std::move(ring[0]);
-    ring[0] = std::move(snap);
+  /// Installs spare_ as the ring's newest generation.  The generation that
+  /// falls off becomes the spare, so its buffer is the next one packed or
+  /// received into; a still-valid slot is never overwritten.
+  void push_ring(std::array<Snapshot, kRing>& ring) {
+    std::swap(spare_, ring[kRing - 1]);
+    std::rotate(ring.begin(), ring.end() - 1, ring.end());
+    spare_.valid = false;
   }
 
   const Snapshot& ring_at(const std::array<Snapshot, kRing>& ring,
                           std::int64_t gen) const {
     for (const Snapshot& s : ring) {
-      if (s.valid && static_cast<std::int64_t>(s.generation) == gen) return s;
+      if (s.valid && static_cast<std::int64_t>(s.head.generation) == gen) {
+        return s;
+      }
     }
     throw minimpi::MpiError("recover: agreed generation missing from ring");
   }
@@ -501,35 +532,33 @@ class Container {
            static_cast<std::size_t>(h.blob_bytes);
   }
 
-  std::vector<std::byte> pack_snapshot(const Snapshot& s) const {
-    std::vector<std::byte> out(s.cuts.size() * sizeof(std::size_t) +
-                               s.data.size() * sizeof(T) +
-                               s.weights.size() * sizeof(double) +
-                               s.blob.size());
-    std::byte* w = out.data();
+  /// Packs the live cuts, slab, weights and `blob` into `snap`'s buffer.
+  void pack_into(Snapshot& snap, const WireHeader& h,
+                 std::span<const std::byte> blob) const {
+    snap.head = h;
+    snap.bytes.resize(wire_bytes(h));
+    std::byte* w = snap.bytes.data();
     auto put = [&w](const void* src, std::size_t n) {
       if (n > 0) std::memcpy(w, src, n);
       w += n;
     };
-    put(s.cuts.data(), s.cuts.size() * sizeof(std::size_t));
-    put(s.data.data(), s.data.size() * sizeof(T));
-    put(s.weights.data(), s.weights.size() * sizeof(double));
-    put(s.blob.data(), s.blob.size());
-    return out;
+    put(part_.cuts().data(), part_.cuts().size() * sizeof(std::size_t));
+    put(data_.data(), data_.size() * sizeof(T));
+    put(weights_.data(), weights_.size() * sizeof(double));
+    put(blob.data(), blob.size());
+    snap.valid = true;
   }
 
-  Snapshot unpack_snapshot(const WireHeader& h,
-                           std::span<const std::byte> bytes) const {
-    DIPDC_REQUIRE(bytes.size() == wire_bytes(h),
-                  "checkpoint: buddy payload size mismatch");
-    Snapshot s;
-    s.valid = true;
-    s.generation = h.generation;
+  Unpacked unpack(const Snapshot& snap) const {
+    const WireHeader& h = snap.head;
+    DIPDC_REQUIRE(snap.bytes.size() == wire_bytes(h),
+                  "checkpoint: snapshot size mismatch");
+    Unpacked s;
     s.cuts.resize(static_cast<std::size_t>(h.ncuts));
     s.data.resize(static_cast<std::size_t>(h.count) * stride_);
     s.weights.resize(static_cast<std::size_t>(h.count));
     s.blob.resize(static_cast<std::size_t>(h.blob_bytes));
-    const std::byte* r = bytes.data();
+    const std::byte* r = snap.bytes.data();
     auto get = [&r](void* dst, std::size_t n) {
       if (n > 0) std::memcpy(dst, r, n);
       r += n;
@@ -566,13 +595,13 @@ class Container {
     return best;
   }
 
-  void restore_from_snapshots(minimpi::Comm& nc,
-                              const std::vector<RecoverMeta>& all,
-                              int holder_new, int dead_old,
-                              std::int64_t gen) {
+  /// Restores generation `gen` over the survivors and returns its blob.
+  std::vector<std::byte> restore_from_snapshots(
+      minimpi::Comm& nc, const std::vector<RecoverMeta>& all, int holder_new,
+      int dead_old, std::int64_t gen) {
     const int new_p = nc.size();
     const int me = nc.rank();
-    const Snapshot& snap = ring_at(self_, gen);
+    Unpacked snap = unpack(ring_at(self_, gen));
     // The cuts recorded in any snapshot at `gen` are identical everywhere.
     const Partitioning old_at_gen = Partitioning::from_cuts(snap.cuts);
     const std::size_t total = old_at_gen.total();
@@ -603,7 +632,7 @@ class Container {
     if (dead_n > 0) {
       const std::size_t db = old_at_gen.begin(dead_old);
       if (me == holder_new) {
-        const Snapshot& bsnap = ring_at(buddy_, gen);
+        const Unpacked bsnap = unpack(ring_at(buddy_, gen));
         DIPDC_REQUIRE(bsnap.weights.size() == dead_n,
                       "recover: buddy slab size mismatch");
         if (me == 0) {
@@ -644,6 +673,7 @@ class Container {
     nc.scatterv(std::span<const double>(gweights), wcounts, wdispls,
                 std::span<double>(weights_), 0);
     part_ = next;
+    return std::move(snap.blob);
   }
 
   void restore_from_source(minimpi::Comm& nc, int source_new) {
@@ -664,13 +694,14 @@ class Container {
     part_ = next;
   }
 
-  /// Rebinds the container to the shrunken communicator and drops all
-  /// snapshots — the ring-buddy topology changed, so pre-failure mirrors
-  /// are no longer where recovery would look for them.
+  /// Rebinds the container to the shrunken communicator and invalidates
+  /// all snapshots — the ring-buddy topology changed, so pre-failure
+  /// mirrors are no longer where recovery would look for them.  Their
+  /// buffers stay for the next checkpoints to pack into.
   void finish_recovery(minimpi::Comm& nc, std::uint64_t next_gen) {
     comm_ = &nc;
-    for (Snapshot& s : self_) s = Snapshot{};
-    for (Snapshot& s : buddy_) s = Snapshot{};
+    for (Snapshot& s : self_) s.valid = false;
+    for (Snapshot& s : buddy_) s.valid = false;
     next_generation_ = next_gen;
   }
 
@@ -683,6 +714,9 @@ class Container {
   std::vector<T> source_;        // scatter(): retained at the (old) root
   std::array<Snapshot, kRing> self_{};
   std::array<Snapshot, kRing> buddy_{};  // mirrors of (rank-1+p)%p
+  Snapshot spare_;  // the buffer that fell off a ring, packed into next
+  std::vector<std::uint64_t> local_q_;   // repartition's quantized weights
+  std::vector<std::uint64_t> global_q_;  // ... allgathered over all ranks
   std::uint64_t next_generation_ = 0;
   ContainerStats stats_;
 };

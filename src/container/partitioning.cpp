@@ -1,7 +1,7 @@
 #include "container/partitioning.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <numeric>
 
 #include "support/error.hpp"
 
@@ -69,38 +69,43 @@ int Partitioning::owner(std::size_t index) const {
 double Partitioning::imbalance(std::span<const std::uint64_t> weights) const {
   DIPDC_REQUIRE(weights.size() == total(),
                 "imbalance needs one weight per element");
-  if (parts() == 0 || total() == 0) return 1.0;
+  std::vector<std::uint64_t> sums(static_cast<std::size_t>(parts()));
+  for (int r = 0; r < parts(); ++r) {
+    sums[static_cast<std::size_t>(r)] =
+        std::accumulate(weights.begin() + static_cast<std::ptrdiff_t>(begin(r)),
+                        weights.begin() + static_cast<std::ptrdiff_t>(end(r)),
+                        std::uint64_t{0});
+  }
+  return imbalance_of_sums(sums);
+}
+
+double Partitioning::count_imbalance() const {
+  std::vector<std::uint64_t> counts(static_cast<std::size_t>(parts()));
+  for (int r = 0; r < parts(); ++r) {
+    counts[static_cast<std::size_t>(r)] = count(r);
+  }
+  return imbalance_of_sums(counts);
+}
+
+double Partitioning::imbalance_of_sums(
+    std::span<const std::uint64_t> part_sums) {
   std::uint64_t total_w = 0;
   std::uint64_t max_w = 0;
-  for (int r = 0; r < parts(); ++r) {
-    std::uint64_t w = 0;
-    for (std::size_t i = begin(r); i < end(r); ++i) w += weights[i];
+  for (const std::uint64_t w : part_sums) {
     total_w += w;
     max_w = std::max(max_w, w);
   }
   if (total_w == 0) return 1.0;
-  const double mean =
-      static_cast<double>(total_w) / static_cast<double>(parts());
+  const double mean = static_cast<double>(total_w) /
+                      static_cast<double>(part_sums.size());
   return static_cast<double>(max_w) / mean;
-}
-
-double Partitioning::count_imbalance() const {
-  if (parts() == 0 || total() == 0) return 1.0;
-  std::size_t max_c = 0;
-  for (int r = 0; r < parts(); ++r) max_c = std::max(max_c, count(r));
-  const double mean =
-      static_cast<double>(total()) / static_cast<double>(parts());
-  return static_cast<double>(max_c) / mean;
 }
 
 std::vector<std::uint64_t> quantize_weights(std::span<const double> weights,
                                             double scale) {
   std::vector<std::uint64_t> q(weights.size());
   for (std::size_t i = 0; i < weights.size(); ++i) {
-    const double scaled = weights[i] * scale;
-    q[i] = scaled <= 1.0
-               ? 1
-               : static_cast<std::uint64_t>(std::llround(scaled));
+    q[i] = quantize_weight(weights[i], scale);
   }
   return q;
 }

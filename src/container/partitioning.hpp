@@ -9,6 +9,7 @@
 // made deterministic).
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -58,6 +59,11 @@ class Partitioning {
       std::span<const std::uint64_t> weights) const;
   /// max part count / mean part count (unit-weight imbalance).
   [[nodiscard]] double count_imbalance() const;
+  /// max / mean over per-part weight sums; 1.0 when there is no weight.
+  /// The one imbalance formula: imbalance() and count_imbalance() sum
+  /// their parts and call it, and a container rebalance feeds it the p
+  /// allgathered part sums, so both derive the same double.
+  static double imbalance_of_sums(std::span<const std::uint64_t> part_sums);
 
   [[nodiscard]] const std::vector<std::size_t>& cuts() const { return cuts_; }
 
@@ -70,10 +76,16 @@ class Partitioning {
   std::vector<std::size_t> cuts_;  // size parts+1; cuts_[0] == 0
 };
 
-/// Quantizes measured (double) weights for the integer cut rule: each entry
-/// becomes max(1, llround(w * scale)).  The floor of 1 keeps prefix sums
-/// strictly increasing (zero-weight elements still need an owner) and the
-/// fixed scale keeps quantization independent of the weight distribution.
+/// Quantizes one measured (double) weight for the integer cut rule:
+/// max(1, llround(w * scale)).  The floor of 1 keeps prefix sums strictly
+/// increasing (zero-weight elements still need an owner) and the fixed
+/// scale keeps quantization independent of the weight distribution.
+inline std::uint64_t quantize_weight(double weight, double scale = 1024.0) {
+  const double scaled = weight * scale;
+  return scaled <= 1.0 ? 1 : static_cast<std::uint64_t>(std::llround(scaled));
+}
+
+/// quantize_weight() over a whole weight vector.
 std::vector<std::uint64_t> quantize_weights(std::span<const double> weights,
                                             double scale = 1024.0);
 

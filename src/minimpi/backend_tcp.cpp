@@ -215,6 +215,9 @@ class TcpBackend final : public Backend {
   void finalize() override {
     if (relay_.joinable()) {
       stop_.store(true, std::memory_order_release);
+      // Half-closing the rank ends hands every relay socket an EOF, so a
+      // relay parked in poll() wakes now instead of at its timeout.
+      for (const int fd : rank_fds_) ::shutdown(fd, SHUT_WR);
       relay_.join();
     }
     for (const int fd : rank_fds_) ::close(fd);

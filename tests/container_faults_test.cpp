@@ -71,7 +71,7 @@ std::vector<double> skewed_keys(int rank, std::size_t count) {
 
 // The driver program: a checkpointed repartition loop.  Per rank the call
 // sequence is: checkpoint (sendrecv, irecv, send, wait = calls 1-4), then
-// per round allgather (5) + allreduce (6) + 2 alltoallv (7-8) + checkpoint
+// per round allgatherv (5) + allreduce (6) + 2 alltoallv (7-8) + checkpoint
 // (9-12), and so on.  The grid kills after the dead rank has completed a
 // full-participation collective that follows a checkpoint — the point at
 // which every rank provably finished that checkpoint, so recovery is
@@ -286,15 +286,18 @@ TEST(ContainerFaults, Module3KillGridMatchesTheNoFaultSort) {
 // ---- Module 5: elastic k-means ----------------------------------------------
 
 // Non-root rank calls: shape bcast (1), scatterv (2), centroids bcast (3),
-// generation-0 checkpoint (4-7), then per iteration two allreduces, a
-// checkpoint, and the rebalance collectives.  Kill at call 3 dies inside
-// the data distribution (the acceptance scenario: recovery rebuilds from
-// the root-retained source, or redistributes when a survivor was stranded
+// generation-0 checkpoint (4-7), then per iteration two allreduces (8-9),
+// a checkpoint (10-13) and the rebalance's part-sum allgather (14; the
+// churn weights stay under the threshold, so that one collective is the
+// whole no-op rebalance).  Kill at call 3 dies inside the data
+// distribution (the acceptance scenario: recovery rebuilds from the
+// root-retained source, or redistributes when a survivor was stranded
 // inside the scatter); 8 dies right after the input checkpoint (restores
 // generation 0 or falls back to the source, depending on how far the
-// survivors got — both converge to the same centroids); 15 dies past the
-// full-participation rebalance allgather, so generation 1 is provably
-// ring-complete and is restored.
+// survivors got — both converge to the same centroids); 15 dies in the
+// second iteration's first allreduce, past the full-participation
+// rebalance allgather, so generation 1 is provably ring-complete and is
+// restored.
 TEST(ContainerFaults, Module5KillGridMatchesTheNoFaultCentroids) {
   const auto d = io::generate_clusters(600, 2, 3, 0.3, 0.0, 30.0, 29);
   m5::Config cfg;

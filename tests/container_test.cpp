@@ -7,12 +7,16 @@
 #include <cstddef>
 #include <cstdint>
 #include <numeric>
+#include <optional>
+#include <random>
 #include <span>
 #include <vector>
 
 #include "container/container.hpp"
 #include "container/partitioning.hpp"
 #include "minimpi/comm.hpp"
+#include "minimpi/error.hpp"
+#include "minimpi/ops.hpp"
 #include "minimpi/runtime.hpp"
 
 namespace mpi = dipdc::minimpi;
@@ -58,6 +62,24 @@ std::vector<std::uint64_t> gather_global(mpi::Comm& comm,
   }
   std::vector<std::uint64_t> global(part.total() * c.stride());
   comm.allgatherv(std::span<const std::uint64_t>(c.local()), counts, displs,
+                  std::span<std::uint64_t>(global));
+  return global;
+}
+
+/// Every rank's quantized weights in global order (the oracle's view).
+std::vector<std::uint64_t> gather_quantized_weights(
+    mpi::Comm& comm, const Container<std::uint64_t>& c) {
+  const Partitioning& part = c.partitioning();
+  const int p = comm.size();
+  std::vector<std::size_t> counts(static_cast<std::size_t>(p));
+  std::vector<std::size_t> displs(static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r) {
+    counts[static_cast<std::size_t>(r)] = part.count(r);
+    displs[static_cast<std::size_t>(r)] = part.begin(r);
+  }
+  const std::vector<std::uint64_t> mine = quantize_weights(c.weights());
+  std::vector<std::uint64_t> global(part.total());
+  comm.allgatherv(std::span<const std::uint64_t>(mine), counts, displs,
                   std::span<std::uint64_t>(global));
   return global;
 }
@@ -140,6 +162,23 @@ TEST(Partitioning, HeavyPrefixShrinksTheFirstPart) {
   const Partitioning part = Partitioning::from_weights(w, 4);
   EXPECT_LT(part.count(0), n / 4);
   EXPECT_LT(part.imbalance(w), 1.10);
+}
+
+TEST(Partitioning, ImbalanceIsTheFormulaOverPartSums) {
+  std::vector<std::uint64_t> w(90);
+  for (std::size_t i = 0; i < w.size(); ++i) w[i] = 1 + (i * 7919) % 131;
+  const Partitioning part = Partitioning::block(w.size(), 4);
+  std::vector<std::uint64_t> sums(4);
+  for (int r = 0; r < 4; ++r) {
+    for (std::size_t i = part.begin(r); i < part.end(r); ++i) {
+      sums[static_cast<std::size_t>(r)] += w[i];
+    }
+  }
+  EXPECT_EQ(part.imbalance(w), Partitioning::imbalance_of_sums(sums));
+  EXPECT_EQ(Partitioning::imbalance_of_sums(std::vector<std::uint64_t>{
+                0, 0, 0}),
+            1.0);
+  EXPECT_EQ(Partitioning::block(10, 4).count_imbalance(), 3.0 / 2.5);
 }
 
 TEST(Partitioning, QuantizeFloorsAtOne) {
@@ -327,4 +366,179 @@ TEST(Container, CheckpointsAreCheapNoOpsForCorrectness) {
     c.checkpoint(std::as_bytes(std::span<const std::uint64_t>(&blob_word, 1)));
     EXPECT_EQ(c.stats().checkpoints, 2u);
   });
+}
+
+TEST(Container, RebalanceMatchesTheAllWeightsOracle) {
+  // The rebalance decision uses only the p part sums; an oracle that sees
+  // every weight (Partitioning::imbalance + from_weights) must agree on
+  // both the returned bool and the resulting cuts.
+  int moved = 0;
+  int kept = 0;
+  for (int p = 2; p <= 8; ++p) {
+    for (const double threshold : {1.01, 1.25, 2.0}) {
+      for (std::uint64_t seed = 0; seed < 4; ++seed) {
+        mpi::run(p, [&](mpi::Comm& comm) {
+          const std::size_t total = 150;
+          Container<std::uint64_t> c = Container<std::uint64_t>::from_local(
+              comm, total, 1, block_slab(total, comm.size(), comm.rank()));
+          for (int round = 0; round < 3; ++round) {
+            // The profile is a pure function of (seed, round, global
+            // index): a skew exponent and a hot stretch that vary with the
+            // seed, so some calls cross the threshold and some do not.
+            std::vector<double> w(c.count());
+            for (std::size_t i = 0; i < w.size(); ++i) {
+              const std::size_t g = c.global_begin() + i;
+              std::mt19937_64 rng(seed * 1000003 + g * 31 +
+                                  static_cast<std::uint64_t>(round));
+              const double u = std::uniform_real_distribution<>(0, 1)(rng);
+              const double hot = (g + 17 * seed) % total < 12 * seed ? 3 : 1;
+              w[i] = hot * (0.5 + u * static_cast<double>(seed % 3));
+            }
+            c.set_weights(w);
+            const std::vector<std::uint64_t> q =
+                gather_quantized_weights(comm, c);
+            const Partitioning before = c.partitioning();
+            Partitioning expected = before;
+            if (before.imbalance(q) > threshold) {
+              expected = Partitioning::from_weights(q, comm.size());
+            }
+            const bool expect_move = !(expected == before);
+            EXPECT_EQ(c.rebalance(threshold), expect_move)
+                << "p=" << p << " t=" << threshold << " seed=" << seed
+                << " round=" << round;
+            EXPECT_EQ(c.partitioning().cuts(), expected.cuts());
+            if (comm.rank() == 0) (expect_move ? moved : kept) += 1;
+          }
+        });
+      }
+    }
+  }
+  // The grid exercises both outcomes.
+  EXPECT_GT(moved, 0);
+  EXPECT_GT(kept, 0);
+}
+
+TEST(Container, NoOpRebalanceSendsOnlyPartSums) {
+  // A rebalance that keeps the cuts costs O(p) bytes on the wire, not
+  // the 8 bytes per element an allgatherv of every weight would.
+  for (int p = 2; p <= 8; ++p) {
+    mpi::run(p, [&](mpi::Comm& comm) {
+      const std::size_t total = 1000 * static_cast<std::size_t>(p);
+      Container<std::uint64_t> c = Container<std::uint64_t>::from_local(
+          comm, total, 1, block_slab(total, comm.size(), comm.rank()));
+      const std::uint64_t before = comm.stats().transport_bytes_sent;
+      EXPECT_FALSE(c.rebalance(1.25));
+      const std::uint64_t sent = comm.stats().transport_bytes_sent - before;
+      EXPECT_LT(sent, 64u * static_cast<std::uint64_t>(p)) << "p=" << p;
+    });
+  }
+}
+
+TEST(Container, RecoveryIsBitExactAfterCheckpointsOfChangingSize) {
+  // Snapshot buffers are recycled from generation to generation.  Every
+  // round re-cuts the container (so each rank's slab shrinks or grows),
+  // rewrites the payload and checkpoints a blob of a different size; a
+  // kill after the last checkpoint must restore exactly that generation.
+  const std::size_t total = 97;
+  const std::size_t stride = 3;
+  const int rounds = 5;
+  auto value = [](std::size_t v, int round) {
+    return element_value(v) + static_cast<std::uint64_t>(round) * 0x1000193;
+  };
+  auto blob_for = [](int round) {
+    std::vector<std::uint64_t> words(static_cast<std::size_t>(round * 5 % 7) +
+                                     1);
+    for (std::size_t i = 0; i < words.size(); ++i) {
+      words[i] = 0xb10b0000ULL + static_cast<std::uint64_t>(round) * 64 + i;
+    }
+    return words;
+  };
+  std::vector<std::uint64_t> expected(total * stride);
+  for (std::size_t v = 0; v < expected.size(); ++v) {
+    expected[v] = value(v, rounds - 1);
+  }
+  const std::vector<std::uint64_t> expected_blob = blob_for(rounds - 1);
+
+  // The checkpointed loop.  Its closing barrier is the point after which
+  // every rank has provably finished the last checkpoint.
+  std::vector<char> count_changed(4);  // char, not bool: ranks write at once
+  auto body = [&](mpi::Comm& comm, Container<std::uint64_t>& c) {
+    c.checkpoint({});
+    const std::size_t first_count = c.count();
+    for (int round = 0; round < rounds; ++round) {
+      // A ramp that flips direction every round moves every cut.
+      std::vector<double> w(c.count());
+      for (std::size_t i = 0; i < w.size(); ++i) {
+        const double x = static_cast<double>(c.global_begin() + i) /
+                         static_cast<double>(total);
+        w[i] = 1.0 + 4.0 * (round % 2 == 0 ? x : 1.0 - x);
+      }
+      c.set_weights(w);
+      c.repartition();
+      for (std::size_t i = 0; i < c.local().size(); ++i) {
+        c.local()[i] = value(c.global_begin() * stride + i, round);
+      }
+      const std::vector<std::uint64_t> blob = blob_for(round);
+      c.checkpoint(std::as_bytes(std::span<const std::uint64_t>(blob)));
+      if (c.count() != first_count) {
+        count_changed[static_cast<std::size_t>(comm.rank())] = 1;
+      }
+    }
+    comm.barrier();
+  };
+  auto make = [&](mpi::Comm& comm) {
+    const Partitioning part = Partitioning::block(total, comm.size());
+    std::vector<std::uint64_t> slab(part.count(comm.rank()) * stride);
+    for (std::size_t i = 0; i < slab.size(); ++i) {
+      slab[i] = element_value(part.begin(comm.rank()) * stride + i);
+    }
+    return Container<std::uint64_t>::from_local(comm, total, stride, slab);
+  };
+
+  std::uint64_t calls_before_kill = 0;
+  mpi::run(4, [&](mpi::Comm& comm) {
+    Container<std::uint64_t> c = make(comm);
+    body(comm, c);
+    if (comm.rank() == 0) {
+      for (const std::uint64_t n : comm.stats().calls) calls_before_kill += n;
+    }
+  });
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_EQ(count_changed[static_cast<std::size_t>(r)], 1) << "rank " << r;
+  }
+
+  for (int victim = 0; victim < 4; ++victim) {
+    mpi::RuntimeOptions opts;
+    opts.faults.kill_rank = victim;
+    opts.faults.kill_at_call = calls_before_kill + 1;
+    bool recovered = false;
+    mpi::run(
+        4,
+        [&](mpi::Comm& comm) {
+          Container<std::uint64_t> c = make(comm);
+          std::optional<mpi::Comm> shrunk;
+          mpi::Comm* cur = &comm;
+          std::vector<std::byte> blob;
+          try {
+            body(comm, c);
+            (void)comm.allreduce_value(1, mpi::ops::Sum{});  // the kill
+          } catch (const mpi::RankFailedError&) {
+            if (comm.failed_rank() == comm.world_rank()) throw;
+            shrunk.emplace(comm.shrink());
+            cur = &*shrunk;
+            blob = c.recover(*cur);
+            if (cur->rank() == 0) recovered = true;
+          }
+          ASSERT_EQ(cur->size(), 3);
+          EXPECT_EQ(gather_global(*cur, c), expected) << "victim " << victim;
+          const auto words = std::span<const std::uint64_t>(
+              reinterpret_cast<const std::uint64_t*>(blob.data()),
+              blob.size() / sizeof(std::uint64_t));
+          EXPECT_EQ(std::vector<std::uint64_t>(words.begin(), words.end()),
+                    expected_blob)
+              << "victim " << victim;
+        },
+        opts);
+    EXPECT_TRUE(recovered) << "victim " << victim;
+  }
 }

@@ -13,6 +13,7 @@
 //     must behave identically whether ranks exchange pointers or frames.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <numeric>
 #include <string>
@@ -436,6 +437,24 @@ TEST_P(BackendFailures, LargeFramesStreamThroughTinyShmRing) {
 INSTANTIATE_TEST_SUITE_P(AllBackends, BackendFailures,
                          ::testing::ValuesIn(all_backends()),
                          backend_param_name);
+
+// ---------------------------------------------------------------------------
+// Teardown cost: a run's fixed overhead must not include the tcp relay's
+// poll timeout (50 ms per run if finalize() waited for it).
+
+TEST(BackendTeardown, TcpRelayStopsWithoutWaitingOutItsPoll) {
+  constexpr int kRuns = 10;
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kRuns; ++i) {
+    mpi::run(4, [](mpi::Comm&) {}, with_backend(mpi::BackendKind::kTcp));
+  }
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(elapsed, std::chrono::milliseconds(kRuns * 50 / 2))
+      << kRuns << " empty 4-rank tcp runs took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+             .count()
+      << " ms";
+}
 
 // ---------------------------------------------------------------------------
 // Zero-copy guard: borrowed/shared payloads must degrade to copies at the
