@@ -148,7 +148,9 @@ void BM_RngUniform(benchmark::State& state) {
 }
 BENCHMARK(BM_RngUniform);
 
-void BM_LocalSort(benchmark::State& state) {
+/// Times `sort` on n uniform keys, restoring the unsorted input untimed
+/// before each iteration.
+void bench_sort(benchmark::State& state, void (*sort)(double*, std::size_t)) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto d = io::generate_uniform(n, 1, 0.0, 1.0, 5);
   std::vector<double> work(d.values().begin(), d.values().end());
@@ -156,13 +158,27 @@ void BM_LocalSort(benchmark::State& state) {
     state.PauseTiming();
     std::copy(d.values().begin(), d.values().end(), work.begin());
     state.ResumeTiming();
-    std::sort(work.begin(), work.end());
+    sort(work.data(), work.size());
     benchmark::DoNotOptimize(work.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
 }
-BENCHMARK(BM_LocalSort)->Arg(100000);
+
+// The comparison-sort baseline for module 3's local sort.
+void BM_LocalSort(benchmark::State& state) {
+  bench_sort(state, [](double* v, std::size_t n) { std::sort(v, v + n); });
+}
+BENCHMARK(BM_LocalSort)->Arg(100000)->Arg(1000000);
+
+// The same input through module 3's local sort kernel (scalar only, so not
+// registered per ISA below); its ratio to BM_LocalSort is the host-clock
+// gain of the radix sort.
+void BM_KernelSortKeys(benchmark::State& state) {
+  bench_sort(state, ker::sort_keys);
+}
+BENCHMARK(BM_KernelSortKeys)->Arg(100000)->Arg(1000000);
 
 // ---------------------------------------------------------------------------
 // BM_Kernel* — the dispatched src/kernels entry points, one registration per

@@ -1,11 +1,126 @@
-// Scalar implementations + ISA dispatch for the sort-module kernels.
-// Compiled with -ffp-contract=off (see distance.cpp) — moot for the
-// integer results here, but the whole library keeps one contract.
+// Scalar implementations + ISA dispatch for the sort-module kernels, and
+// the scalar key sort.  Compiled with -ffp-contract=off (see distance.cpp)
+// — moot for the integer results here, but the whole library keeps one
+// contract.
 #include "kernels/sort.hpp"
+
+#include <algorithm>
+#include <bit>
 
 #include "kernels/detail/canonical.hpp"
 
 namespace dipdc::kernels {
+
+namespace {
+
+constexpr std::uint64_t kSignBit = std::uint64_t{1} << 63;
+constexpr unsigned kDigitBits = 8;
+constexpr std::size_t kRadix = std::size_t{1} << kDigitBits;
+
+/// The order-preserving image of a key: unsigned comparison of images is
+/// the IEEE total order of the keys.
+std::uint64_t key_image(double x) {
+  const auto u = std::bit_cast<std::uint64_t>(x);
+  return (u & kSignBit) != 0 ? ~u : (u | kSignBit);
+}
+
+double image_key(std::uint64_t k) {
+  return std::bit_cast<double>((k & kSignBit) != 0 ? (k & ~kSignBit) : ~k);
+}
+
+// Between the two mappings the array holds images, some of which are NaN
+// bit patterns as doubles; they are only ever moved through these two, never
+// used as floating-point operands.
+std::uint64_t load(const double* v, std::size_t i) {
+  return std::bit_cast<std::uint64_t>(v[i]);
+}
+
+void store(double* v, std::size_t i, std::uint64_t k) {
+  v[i] = std::bit_cast<double>(k);
+}
+
+void insertion_sort(double* v, std::size_t n) {
+  for (std::size_t i = 1; i < n; ++i) {
+    const std::uint64_t k = load(v, i);
+    std::size_t j = i;
+    for (; j > 0 && load(v, j - 1) > k; --j) store(v, j, load(v, j - 1));
+    store(v, j, k);
+  }
+}
+
+/// MSD radix sort of the images in v[0, n) on the digit at `shift` and
+/// below; every higher digit is equal across the range.
+void radix_sort(double* v, std::size_t n, unsigned shift) {
+  if (n <= kSortKeysFinisher) {
+    insertion_sort(v, n);
+    return;
+  }
+  const auto digit = [shift](std::uint64_t k) {
+    return static_cast<std::size_t>(k >> shift) & (kRadix - 1);
+  };
+  // head[] counts the keys of each digit, then becomes each bucket's next
+  // unplaced slot.  At most 8 levels of these frames are live at once.
+  std::size_t head[kRadix] = {};
+  for (std::size_t i = 0; i < n; ++i) ++head[digit(load(v, i))];
+  // A digit every key shares sorts nothing: go straight to the next one.
+  if (head[digit(load(v, 0))] == n) {
+    if (shift > 0) radix_sort(v, n, shift - kDigitBits);
+    return;
+  }
+  std::size_t end[kRadix];
+  std::size_t sum = 0;
+  for (std::size_t b = 0; b < kRadix; ++b) {
+    const std::size_t count = head[b];
+    head[b] = sum;
+    sum += count;
+    end[b] = sum;
+  }
+  // American flag permutation: take the first unplaced key of bucket b and
+  // swap it along the cycle of the buckets it belongs to until a key of
+  // bucket b comes back to fill the hole.
+  for (std::size_t b = 0; b < kRadix; ++b) {
+    for (; head[b] < end[b]; ++head[b]) {
+      std::uint64_t k = load(v, head[b]);
+      std::size_t d = digit(k);
+      if (d == b) continue;  // already in place
+      do {
+        const std::uint64_t displaced = load(v, head[d]);
+        store(v, head[d]++, k);
+        k = displaced;
+        d = digit(k);
+      } while (d != b);
+      store(v, head[b], k);
+    }
+  }
+  if (shift == 0) return;
+  std::size_t begin = 0;
+  for (std::size_t b = 0; b < kRadix; ++b) {
+    if (end[b] - begin > 1) {
+      radix_sort(v + begin, end[b] - begin, shift - kDigitBits);
+    }
+    begin = end[b];
+  }
+}
+
+}  // namespace
+
+void sort_keys(double* v, std::size_t n) {
+  if (n < 2) return;
+  std::uint64_t lo = ~std::uint64_t{0};
+  std::uint64_t hi = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t k = key_image(v[i]);
+    store(v, i, k);
+    lo = std::min(lo, k);
+    hi = std::max(hi, k);
+  }
+  // Every digit above the highest bit where the extremes differ is shared.
+  if (lo != hi) {
+    const auto top = static_cast<unsigned>(std::bit_width(lo ^ hi)) - 1;
+    radix_sort(v, n, top / kDigitBits * kDigitBits);
+  }
+  for (std::size_t i = 0; i < n; ++i) v[i] = image_key(load(v, i));
+}
 
 void histogram(Isa isa, const double* values, std::size_t n, double lo,
                double bin_width, std::size_t bins, std::uint64_t* hist) {

@@ -1,9 +1,12 @@
-// Dispatched kernels for module 3's splitter machinery: the rank-0
-// histogram pass and the per-element bucket classification (splitter
-// scan).  Both produce integers, so bit-identity here means "the same
-// bins and buckets" — guaranteed because the offset arithmetic and the
-// comparisons are the identical IEEE operations in both paths (see
-// detail/canonical.hpp for the scalar reference).
+// Kernels for module 3: the rank-0 histogram pass and the per-element
+// bucket classification (splitter scan), both dispatched, plus the local
+// key sort, which is scalar only.
+//
+// The two dispatched kernels produce integers, so bit-identity here means
+// "the same bins and buckets" — guaranteed because the offset arithmetic
+// and the comparisons are the identical IEEE operations in both paths (see
+// detail/canonical.hpp for the scalar reference).  sort_keys produces the
+// keys themselves, permuted; it does no arithmetic at all.
 #pragma once
 
 #include <cstddef>
@@ -25,6 +28,22 @@ void histogram(Isa isa, const double* values, std::size_t n, double lo,
 void bucket_indices(Isa isa, const double* values, std::size_t n,
                     const double* splitters, std::size_t nsplit,
                     std::uint32_t* out);
+
+/// Buckets of at most this many keys are finished by insertion sort
+/// instead of another radix pass.
+inline constexpr std::size_t kSortKeysFinisher = 32;
+
+/// Sorts v[0, n) ascending in place, allocating nothing proportional to n.
+/// Each key is mapped to its order-preserving 64-bit image (sign bit set
+/// for non-negative keys, all bits flipped for negative ones), the images
+/// are MSD radix sorted 8 bits at a time by an in-place (American flag)
+/// permutation, and mapped back.  The result is the total order of those
+/// images, which agrees with operator< wherever operator< is a strict weak
+/// order, so it is bit-identical to std::sort's for every input without
+/// NaN and without both zeros.  Where std::sort leaves the order
+/// unspecified it is fixed here: -0.0 sorts before +0.0, NaNs with the
+/// sign bit set sort before -inf, and NaNs without it sort after +inf.
+void sort_keys(double* v, std::size_t n);
 
 namespace detail {
 void histogram_avx2(const double* values, std::size_t n, double lo,

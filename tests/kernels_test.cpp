@@ -9,6 +9,8 @@
 // vs. reference checks always run.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -360,6 +362,107 @@ TEST(KernelsSort, ScalarSimdBitEqualOverRandomShapes) {
                         nsplit, b_simd.data());
     ASSERT_EQ(b_scalar, b_simd) << "trial " << trial;
   }
+}
+
+namespace {
+
+// sort_keys' oracle: std::sort under the same order-preserving image,
+// written independently of the kernel.
+std::uint64_t image_ref(double x) {
+  const auto u = std::bit_cast<std::uint64_t>(x);
+  return (u >> 63) != 0 ? ~u : (u | (std::uint64_t{1} << 63));
+}
+
+std::vector<std::uint64_t> bits_of(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out(v.size());
+  std::transform(v.begin(), v.end(), out.begin(),
+                 [](double x) { return std::bit_cast<std::uint64_t>(x); });
+  return out;
+}
+
+void expect_sorts_like_oracle(std::vector<double> v, const char* what) {
+  auto want = v;
+  std::sort(want.begin(), want.end(), [](double a, double b) {
+    return image_ref(a) < image_ref(b);
+  });
+  ker::sort_keys(v.data(), v.size());
+  EXPECT_EQ(bits_of(v), bits_of(want)) << what << ", n = " << v.size();
+}
+
+}  // namespace
+
+TEST(KernelsSort, SortKeysMatchesImageOrderOracle) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double denorm = std::numeric_limits<double>::denorm_min();
+  const std::vector<double> specials = {
+      -0.0, 0.0, inf, -inf, denorm, -denorm, 1e-310, -1e-310,
+      std::numeric_limits<double>::min(), -std::numeric_limits<double>::max(),
+      -1.0, 1.0};
+  for (const std::size_t n :
+       {std::size_t{0}, std::size_t{1}, std::size_t{2},
+        ker::kSortKeysFinisher - 1, ker::kSortKeysFinisher,
+        ker::kSortKeysFinisher + 1, std::size_t{100000}}) {
+    const auto seed = 8000 + static_cast<std::uint64_t>(n);
+    const auto uniform = random_values(n, seed);
+    expect_sorts_like_oracle(uniform, "uniform");
+
+    auto sorted = uniform;
+    std::sort(sorted.begin(), sorted.end());
+    expect_sorts_like_oracle(sorted, "already sorted");
+    std::reverse(sorted.begin(), sorted.end());
+    expect_sorts_like_oracle(sorted, "reverse sorted");
+
+    expect_sorts_like_oracle(std::vector<double>(n, 2.5), "all equal");
+
+    Xoshiro256 rng(seed + 1);
+    std::vector<double> dups(n), edge(n), expo(n), near(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      dups[i] = static_cast<double>(rng.uniform_index(5)) - 2.0;
+      // Within 70000 ulps of +-1: only the lowest three digits differ.
+      near[i] = std::bit_cast<double>(
+          std::bit_cast<std::uint64_t>(rng.uniform() < 0.5 ? 1.0 : -1.0) +
+          rng.uniform_index(70000));
+      edge[i] = specials[rng.uniform_index(specials.size())] *
+                (rng.uniform() < 0.5 ? 1.0 : rng.uniform(0.5, 2.0));
+      expo[i] = std::min(rng.exponential(1.0), 9.999);
+    }
+    expect_sorts_like_oracle(dups, "heavy duplicates");
+    expect_sorts_like_oracle(edge, "negatives, zeros, infinities, denormals");
+    expect_sorts_like_oracle(expo, "capped exponential");
+    expect_sorts_like_oracle(near, "keys a few ulps apart");
+  }
+}
+
+TEST(KernelsSort, SortKeysEqualsStdSortWhereStdSortIsDetermined) {
+  // Without NaN and without both zeros, operator< is a strict weak order
+  // whose equal keys are equal bits, so std::sort's output is unique.
+  Xoshiro256 rng(8101);
+  std::vector<double> v(200000);
+  for (auto& x : v) x = rng.uniform() < 0.1 ? -rng.exponential(3.0)
+                                            : rng.uniform(0.0, 1e6);
+  auto want = v;
+  std::sort(want.begin(), want.end());
+  ker::sort_keys(v.data(), v.size());
+  EXPECT_EQ(bits_of(v), bits_of(want));
+}
+
+TEST(KernelsSort, SortKeysPinsSignedZerosAndNaNs) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double neg_nan = -nan;
+  const double neg_denorm = -std::numeric_limits<double>::denorm_min();
+  // A NaN payload survives the round trip through the image.
+  const double payload_nan =
+      std::bit_cast<double>(std::uint64_t{0x7ff8000000000123});
+  std::vector<double> v = {1.0,  nan, 0.0,     -inf, payload_nan,
+                           -0.0, inf, neg_nan, -1.0, 0.0,
+                           -0.0, 2.0, neg_denorm};
+  ker::sort_keys(v.data(), v.size());
+  const std::vector<double> want = {neg_nan, -inf, -1.0, neg_denorm,
+                                    -0.0,    -0.0, 0.0,  0.0,
+                                    1.0,     2.0,  inf,  nan,
+                                    payload_nan};
+  EXPECT_EQ(bits_of(v), bits_of(want));
 }
 
 TEST(KernelsFilter, MatchesReferenceIncludingBoundaries) {

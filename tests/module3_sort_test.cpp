@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "dataio/dataset.hpp"
@@ -28,6 +29,30 @@ std::vector<double> local_exponential(int rank, std::size_t n, double rate) {
   std::vector<double> v(n);
   for (auto& x : v) x = rng.exponential(rate);
   return v;
+}
+
+/// The regular-sampling splitters computed serially with std::sort: 16p
+/// evenly spaced samples of each rank's sorted data, then every 16p-th of
+/// all p * 16p samples sorted.
+std::vector<double> sampling_splitters_ref(
+    const std::vector<std::vector<double>>& per_rank, double lo) {
+  const std::size_t np = per_rank.size();
+  const std::size_t per = 16 * np;
+  std::vector<double> all;
+  for (auto local : per_rank) {
+    std::sort(local.begin(), local.end());
+    for (std::size_t i = 0; i < per; ++i) {
+      all.push_back(local.empty()
+                        ? lo
+                        : local[std::min(local.size() - 1,
+                                         (2 * i + 1) * local.size() /
+                                             (2 * per))]);
+    }
+  }
+  std::sort(all.begin(), all.end());
+  std::vector<double> splitters;
+  for (std::size_t i = 1; i < np; ++i) splitters.push_back(all[i * per]);
+  return splitters;
 }
 
 }  // namespace
@@ -251,6 +276,35 @@ TEST(Sampling, SurvivesHeterogeneousRankDistributions) {
   // rank (imbalance ~ p).  Sampling stays near-perfect.
   EXPECT_GT(imb_hist, 3.0);
   EXPECT_LT(imb_sample, 1.2);
+}
+
+TEST(Sampling, SplittersEqualStdSortReference) {
+  // Skewed (capped exponential, uneven counts) and heterogeneous (rank r
+  // draws from a 1/64 grid over [r, r+1), the last rank holds nothing)
+  // inputs, both with duplicates.
+  const int p = 6;
+  std::vector<std::vector<double>> skewed, heterogeneous;
+  for (int r = 0; r < p; ++r) {
+    auto v =
+        local_exponential(r, 3001 + 97 * static_cast<std::size_t>(r), 1.0);
+    for (auto& x : v) x = std::min(x, 9.999);
+    skewed.push_back(std::move(v));
+    auto h = local_uniform(r, r == p - 1 ? 0 : 2000, 0.0, 1.0);
+    for (auto& x : h) x = r + std::floor(x * 64.0) / 64.0;
+    heterogeneous.push_back(std::move(h));
+  }
+  for (const auto* per_rank : {&skewed, &heterogeneous}) {
+    const auto want = sampling_splitters_ref(*per_rank, 0.0);
+    mpi::run(p, [&](mpi::Comm& comm) {
+      m3::Config cfg;
+      cfg.policy = m3::SplitterPolicy::kSampling;
+      cfg.lo = 0.0;
+      cfg.hi = 10.0;
+      const auto got = m3::compute_splitters(
+          comm, (*per_rank)[static_cast<std::size_t>(comm.rank())], cfg);
+      EXPECT_EQ(got, want) << "rank " << comm.rank();
+    });
+  }
 }
 
 TEST(Sampling, UniformDataStaysBalancedAcrossRankCounts) {
