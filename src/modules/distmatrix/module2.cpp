@@ -159,19 +159,37 @@ Result run_distributed(mpi::Comm& comm, const dataio::Dataset& dataset,
       }
     }
 
-    // Same j-tile traversal as the traced distance_rows_list template,
-    // but each row sweep runs through the dispatched SIMD/scalar kernel.
-    std::vector<double> block(my_rows.size() * n, 0.0);
+    // Strip by strip of my_rows, the same j-tile traversal as the traced
+    // distance_rows_list template, but each row sweep runs through the
+    // dispatched SIMD/scalar kernel.  The checksum covers the *full*
+    // matrix: off-diagonal triangle entries count twice, so every
+    // configuration reports the same value.  It continues row by row as
+    // each strip lands, so the add chain is the whole block's.
     const kernels::Isa isa = kernels::resolve(config.kernel);
     const std::size_t step = config.tile == 0 ? n : config.tile;
-    for (std::size_t jt = 0; jt < n; jt += step) {
-      const std::size_t jt_end = std::min(n, jt + step);
-      for (std::size_t rr = 0; rr < my_rows.size(); ++rr) {
-        const std::size_t i = my_rows[rr];
-        const std::size_t j_begin =
-            config.symmetric ? std::max(jt, i) : jt;
-        kernels::distance_row(isa, all.data() + i * dim, all.data(), dim,
-                              j_begin, jt_end, block.data() + rr * n);
+    const std::size_t strip_rows = rows_per_strip(n);
+    std::vector<double> strip(std::min(my_rows.size(), strip_rows) * n);
+    double local_checksum = 0.0;
+    for (std::size_t s = 0; s < my_rows.size(); s += strip_rows) {
+      const auto rows = std::span<const std::size_t>(my_rows).subspan(
+          s, std::min(strip_rows, my_rows.size() - s));
+      for (std::size_t jt = 0; jt < n; jt += step) {
+        const std::size_t jt_end = std::min(n, jt + step);
+        for (std::size_t rr = 0; rr < rows.size(); ++rr) {
+          const std::size_t i = rows[rr];
+          const std::size_t j_begin =
+              config.symmetric ? std::max(jt, i) : jt;
+          kernels::distance_row(isa, all.data() + i * dim, all.data(), dim,
+                                j_begin, jt_end, strip.data() + rr * n);
+        }
+      }
+      for (std::size_t rr = 0; rr < rows.size(); ++rr) {
+        const std::size_t i = rows[rr];
+        const std::size_t j0 = config.symmetric ? i : 0;
+        for (std::size_t j = j0; j < n; ++j) {
+          const double v = strip[rr * n + j];
+          local_checksum += (config.symmetric && j > i) ? 2.0 * v : v;
+        }
       }
     }
 
@@ -194,17 +212,6 @@ Result run_distributed(mpi::Comm& comm, const dataio::Dataset& dataset,
     comm.sim_compute(pairs * (3.0 * static_cast<double>(dim) + 1.0),
                      result.dram_bytes);
 
-    // Checksum over the *full* matrix: off-diagonal triangle entries count
-    // twice, so every configuration reports the same value.
-    double local_checksum = 0.0;
-    for (std::size_t rr = 0; rr < my_rows.size(); ++rr) {
-      const std::size_t i = my_rows[rr];
-      const std::size_t j0 = config.symmetric ? i : 0;
-      for (std::size_t j = j0; j < n; ++j) {
-        const double v = block[rr * n + j];
-        local_checksum += (config.symmetric && j > i) ? 2.0 * v : v;
-      }
-    }
     combine(comm, local_checksum, t0x, pairs, result);
     result.comm_time = t_commx - t0x;
     result.compute_time = (comm.wtime() - t0x) - result.comm_time;
@@ -245,8 +252,11 @@ Result run_distributed(mpi::Comm& comm, const dataio::Dataset& dataset,
   // simulator when tracing); its simulated cost is charged to the machine
   // model with the locality-aware traffic estimate.
   comm.phase_begin("compute");
-  std::vector<double> block(my_rows * n);
+  double local_checksum = 0.0;
   if (config.trace_cache) {
+    // The tracer records the output stores' addresses, so this path keeps
+    // the rank's whole block.
+    std::vector<double> block(my_rows * n);
     cachesim::CacheHierarchy hierarchy({config.cache});
     cachesim::CacheTracer tracer(&hierarchy);
     if (config.tile == 0) {
@@ -259,12 +269,23 @@ Result run_distributed(mpi::Comm& comm, const dataio::Dataset& dataset,
     }
     result.dram_bytes = static_cast<double>(hierarchy.memory_traffic_bytes());
     result.miss_rate = hierarchy.level(0).miss_rate();
+    local_checksum = std::accumulate(block.begin(), block.end(), 0.0);
   } else {
     // Untraced fast path: the register-blocked dispatched kernel
     // (bit-identical to the traced loops above by the canonical
-    // accumulation contract).
-    kernels::distance_rows(kernels::resolve(config.kernel), all.data(), dim,
-                           n, row_begin, row_end, config.tile, block.data());
+    // accumulation contract), strip by strip into one reused buffer.  The
+    // checksum continues over each strip in row-major order, so its add
+    // chain is the one the whole block would have had.
+    const kernels::Isa isa = kernels::resolve(config.kernel);
+    const std::size_t strip_rows = rows_per_strip(n);
+    std::vector<double> strip(std::min(my_rows, strip_rows) * n);
+    for (std::size_t i = row_begin; i < row_end; i += strip_rows) {
+      const std::size_t i_end = std::min(row_end, i + strip_rows);
+      kernels::distance_rows(isa, all.data(), dim, n, i, i_end, config.tile,
+                             strip.data());
+      local_checksum = std::accumulate(
+          strip.data(), strip.data() + (i_end - i) * n, local_checksum);
+    }
     result.dram_bytes =
         config.tile == 0
             ? estimated_traffic_rowwise(my_rows, n, dim,
@@ -277,10 +298,8 @@ Result run_distributed(mpi::Comm& comm, const dataio::Dataset& dataset,
 
   const double t_compute = comm.wtime();
 
-  // Combine: checksum (correctness) over the block in row-major order and
-  // the slowest rank's span.
-  combine(comm, std::accumulate(block.begin(), block.end(), 0.0), t0,
-          std::nullopt, result);
+  // Combine: checksum (correctness) and the slowest rank's span.
+  combine(comm, local_checksum, t0, std::nullopt, result);
   result.comm_time = t_comm_in - t0;
   result.compute_time = t_compute - t_comm_in;
   return result;
@@ -299,9 +318,12 @@ Result run_distributed(mpi::Comm& comm, const dataio::Dataset& dataset,
 //      column stripe of the output block.
 //
 // Each pair (i, j) goes through the same dispatched kernel as the in-core
-// path, and the shared combine sums the materialized block in the same
-// row-major order, so the result is bit-identical to run_distributed —
-// the determinism tests pin exactly that.
+// path, and the checksum sums the output block in the same row-major
+// order as the in-core strip fold, so the result is bit-identical to
+// run_distributed — the determinism tests pin exactly that.  Unlike the
+// in-core path, this one keeps the rank's whole my_rows x n block: chunks
+// fill it column stripe by column stripe, so no row is complete before
+// the last chunk.
 Result run_streamed(mpi::Comm& comm, const std::string& chunk_path,
                     const Config& config, const StreamConfig& stream) {
   DIPDC_REQUIRE(!config.symmetric &&
@@ -392,7 +414,7 @@ Result run_streamed(mpi::Comm& comm, const std::string& chunk_path,
                                               geo.chunk_rows,
                                               config.cache.size_bytes);
 
-  // Combine — the in-core path's, over the same row-major block.
+  // Combine — the in-core path's, over the block in row-major order.
   combine(comm, std::accumulate(block.begin(), block.end(), 0.0), t0,
           std::nullopt, result);
 

@@ -19,6 +19,7 @@
 //    the slowest rank's time.
 #pragma once
 
+#include <algorithm>
 #include <cmath>
 #include <cstddef>
 #include <span>
@@ -95,6 +96,18 @@ void distance_rows_tiled(std::span<const double> all, std::size_t dim,
 /// (subtract, multiply, accumulate) plus the square root.
 [[nodiscard]] double block_flops(std::size_t rows, std::size_t n,
                                  std::size_t dim);
+
+/// Rows per output strip of the untraced in-core paths.  They compute a
+/// rank's rows a strip at a time into one reused buffer of about 256 KiB
+/// (L2-sized) and continue the checksum over each strip as it lands,
+/// instead of building the rank's whole rows x n block.  A multiple of 4
+/// (the AVX2 micro-kernel's row group), and at least 4.
+[[nodiscard]] constexpr std::size_t rows_per_strip(std::size_t n) {
+  constexpr std::size_t kStripBytes = 256 * 1024;
+  const std::size_t rows =
+      kStripBytes / (std::max<std::size_t>(n, 1) * sizeof(double)) / 4 * 4;
+  return std::max<std::size_t>(rows, 4);
+}
 
 /// Analytic DRAM traffic (bytes) of the row-wise kernel: when the dataset
 /// exceeds the cache, every row pass streams all n partner points again.
@@ -200,11 +213,13 @@ struct StreamConfig {
 
 /// Out-of-core distance matrix: the dataset lives in a chunk file
 /// (dataio/chunk.hpp) that only rank 0 opens, and no rank ever holds more
-/// than its own row block plus two chunks of partner points.  Two sweeps
-/// over the file: a streamed Scatterv hands each rank its block rows, then
-/// the chunks stream past every rank as distance partners through the
-/// read / communicate / compute rotation in modules/stream_sweep.hpp.
-/// Results — checksum included — are
+/// input points than its own row block plus two chunks of partner points.
+/// Each rank does hold its whole my_rows x n output stripe: the chunks
+/// fill it a column stripe at a time, and the row-major checksum needs
+/// complete rows.  Two sweeps over the file: a streamed Scatterv hands
+/// each rank its block rows, then the chunks stream past every rank as
+/// distance partners through the read / communicate / compute rotation in
+/// modules/stream_sweep.hpp.  Results — checksum included — are
 /// bit-identical to run_distributed on the same data, on every backend.
 /// Supports the module's base configuration (block rows, full matrix,
 /// untraced); every rank must pass the same config.

@@ -6,6 +6,7 @@
 
 #include "cachesim/cache.hpp"
 #include "dataio/dataset.hpp"
+#include "minimpi/ops.hpp"
 #include "minimpi/runtime.hpp"
 #include "modules/distmatrix/module2.hpp"
 
@@ -270,6 +271,70 @@ TEST(Symmetric, ChecksumMatchesFullComputation) {
           EXPECT_NEAR(r.checksum, expect, 1e-6 * expect);
         });
       }
+    }
+  }
+}
+
+TEST(Symmetric, StripFoldIsBitIdenticalToAWholeBlockFold) {
+  // The extension path computes and folds each rank's rows strip by strip
+  // (m2::rows_per_strip).  The reference builds a rank's rows in one block
+  // with the list kernel and folds them row by row, j from the diagonal,
+  // off-diagonal entries doubled, then reduces the partial sums the way
+  // the driver does.  n is chosen so every rank spans several strips,
+  // the last one partial.
+  constexpr int p = 3;
+  std::size_t n = p;
+  while (n / p <= 2 * m2::rows_per_strip(n) ||
+         (n / p) % m2::rows_per_strip(n) == 0) {
+    ++n;
+  }
+  const auto d = io::generate_uniform(n, 12, 0.0, 1.0, 16);
+  for (const auto dist :
+       {m2::RowDistribution::kBlock, m2::RowDistribution::kCyclic}) {
+    for (const std::size_t tile : {std::size_t{0}, std::size_t{16}}) {
+      m2::Config cfg;
+      cfg.symmetric = true;
+      cfg.distribution = dist;
+      cfg.tile = tile;
+      double got = 0.0;
+      double expect = 0.0;
+      mpi::run(p, [&](mpi::Comm& comm) {
+        const auto r = m2::run_distributed(
+            comm, comm.rank() == 0 ? d : io::Dataset{}, cfg);
+        const auto rank = static_cast<std::size_t>(comm.rank());
+        std::vector<std::size_t> rows;
+        if (dist == m2::RowDistribution::kCyclic) {
+          for (std::size_t i = rank; i < n; i += p) rows.push_back(i);
+        } else {
+          const auto [rb, re] = io::block_partition(n, p)[rank];
+          for (std::size_t i = rb; i < re; ++i) rows.push_back(i);
+        }
+        std::vector<double> block(rows.size() * n);
+        cs::NullTracer t;
+        m2::distance_rows_list(d.values(), d.dim(), n,
+                               std::span<const std::size_t>(rows),
+                               /*symmetric=*/true, tile,
+                               std::span<double>(block), t);
+        double local = 0.0;
+        for (std::size_t rr = 0; rr < rows.size(); ++rr) {
+          const std::size_t i = rows[rr];
+          for (std::size_t j = i; j < n; ++j) {
+            const double v = block[rr * n + j];
+            local += j > i ? 2.0 * v : v;
+          }
+        }
+        double sum = 0.0;
+        comm.reduce(std::span<const double>(&local, 1),
+                    std::span<double>(&sum, 1), mpi::ops::Sum{}, 0);
+        if (comm.rank() == 0) {
+          got = r.checksum;
+          expect = sum;
+        }
+      });
+      EXPECT_EQ(got, expect) << "n " << n << " tile " << tile
+                             << (dist == m2::RowDistribution::kCyclic
+                                     ? " cyclic"
+                                     : " block");
     }
   }
 }

@@ -64,6 +64,17 @@ mpi::RuntimeOptions seed_equivalent() {
   return opts;
 }
 
+/// Smallest n at which rank 0 of p owns more than two strips of rows
+/// (m2::rows_per_strip) with a partial last strip, so the in-core strip
+/// fold runs several full strips and then a short one.
+std::size_t multi_strip_n(std::size_t p) {
+  for (std::size_t n = p;; ++n) {
+    const auto [rb, re] = io::block_partition(n, p).front();
+    const std::size_t strip = m2::rows_per_strip(n);
+    if (re - rb > 2 * strip && (re - rb) % strip != 0) return n;
+  }
+}
+
 std::vector<mpi::RuntimeOptions> transport_variants() {
   std::vector<mpi::RuntimeOptions> variants;
   variants.push_back({});  // defaults: full fast path, kAuto collectives
@@ -329,20 +340,40 @@ TEST(Determinism, Module2TracedChecksumMatchesDispatchedKernel) {
   // The cachesim-traced loop nests and the untraced dispatched kernel
   // follow the same canonical accumulation, so the checksum is identical
   // (sim_time legitimately differs: tracing measures traffic instead of
-  // estimating it).
-  const auto d = io::generate_uniform(80, 30, 0.0, 1.0, 19);
-  for (const std::size_t tile : {std::size_t{0}, std::size_t{32}}) {
-    double checksum[2] = {0.0, 0.0};
-    for (const bool traced : {false, true}) {
-      m2::Config cfg;
-      cfg.tile = tile;
-      cfg.trace_cache = traced;
-      const m2::Result at_root = run_forced(3, {}, [&](mpi::Comm& comm) {
-        return m2::run_distributed(comm, d, cfg);
-      });
-      checksum[traced ? 1 : 0] = at_root.checksum;
+  // estimating it).  The traced path also still builds each rank's whole
+  // block, so it is the reference for the untraced path's strip-by-strip
+  // checksum fold.  The sizes cover a rank spanning several strips with a
+  // partial last one, ranks with fewer rows than one strip, and an empty
+  // rank (n < p).
+  constexpr int kRanks = 3;
+  const std::size_t multi = multi_strip_n(kRanks);
+  for (const std::size_t n : {multi, std::size_t{80}, std::size_t{2}}) {
+    const auto d = io::generate_uniform(n, 30, 0.0, 1.0, 19);
+    const auto [rb, re] = io::block_partition(n, kRanks).front();
+    if (n == multi) {
+      ASSERT_GT(re - rb, 2 * m2::rows_per_strip(n));
+    } else {
+      ASSERT_LT(re - rb, m2::rows_per_strip(n));
     }
-    EXPECT_EQ(checksum[0], checksum[1]) << "tile " << tile;
+    for (const std::size_t tile : {std::size_t{0}, std::size_t{24}}) {
+      m2::Config traced;
+      traced.tile = tile;
+      traced.trace_cache = true;
+      const double reference = run_forced(kRanks, {}, [&](mpi::Comm& comm) {
+        return m2::run_distributed(comm, d, traced);
+      }).checksum;
+      for (const auto policy : kernel_policies()) {
+        m2::Config cfg;
+        cfg.tile = tile;
+        cfg.kernel = policy;
+        const m2::Result at_root = run_forced(kRanks, {}, [&](mpi::Comm& comm) {
+          return m2::run_distributed(comm, d, cfg);
+        });
+        EXPECT_EQ(at_root.checksum, reference)
+            << "n " << n << " tile " << tile << " kernel "
+            << ker::policy_name(policy);
+      }
+    }
   }
 }
 
@@ -395,21 +426,26 @@ struct TempPath {
 }  // namespace
 
 TEST(Streaming, Module2StreamedChecksumMatchesInCore) {
-  const auto d = io::generate_uniform(97, 16, 0.0, 1.0, 11);  // 5 chunks
-  TempPath chunks("dipdc_m2_stream_incore.bin");
-  io::dataset_to_chunks(d, chunks.path, /*chunk_rows=*/20);
+  // n = 97 fits each rank's rows in one in-core strip; the second size
+  // makes the in-core path fold several strips, the last one partial.
+  for (const std::size_t n : {std::size_t{97}, multi_strip_n(4)}) {
+    const auto d = io::generate_uniform(n, 16, 0.0, 1.0, 11);
+    TempPath chunks("dipdc_m2_stream_incore.bin");
+    io::dataset_to_chunks(d, chunks.path, /*chunk_rows=*/n / 5 + 1);
 
-  const m2::Config cfg;  // base configuration: block rows, row-wise
-  const m2::Result incore = run_forced(4, {}, [&](mpi::Comm& comm) {
-    return m2::run_distributed(comm, d, cfg);
-  });
-  for (const bool overlap : {true, false}) {
-    const m2::Result streamed = run_forced(4, {}, [&](mpi::Comm& comm) {
-      return m2::run_streamed(comm, chunks.path, cfg, {overlap});
+    const m2::Config cfg;  // base configuration: block rows, row-wise
+    const m2::Result incore = run_forced(4, {}, [&](mpi::Comm& comm) {
+      return m2::run_distributed(comm, d, cfg);
     });
-    EXPECT_EQ(streamed.checksum, incore.checksum) << "overlap=" << overlap;
-    EXPECT_EQ(streamed.n, incore.n);
-    EXPECT_EQ(streamed.dim, incore.dim);
+    for (const bool overlap : {true, false}) {
+      const m2::Result streamed = run_forced(4, {}, [&](mpi::Comm& comm) {
+        return m2::run_streamed(comm, chunks.path, cfg, {overlap});
+      });
+      EXPECT_EQ(streamed.checksum, incore.checksum)
+          << "n=" << n << " overlap=" << overlap;
+      EXPECT_EQ(streamed.n, incore.n);
+      EXPECT_EQ(streamed.dim, incore.dim);
+    }
   }
 }
 
