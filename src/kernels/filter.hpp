@@ -1,10 +1,13 @@
 // Dispatched point-in-rect filter kernel for module 4's serving-mode
-// brute-force shard scan.  The points live as two parallel coordinate
-// arrays (structure-of-arrays: one contiguous stream of x, one of y), so
-// the AVX2 path can compare four points per instruction without a
-// gather.  The result is an integer match count, so bit-identity between
-// the paths means "the same count" — guaranteed because both perform the
-// identical IEEE comparisons: the closed-rectangle test
+// shard scan: each call counts one run of grid cells a window overlaps
+// (modules/rangequery/serving.hpp, detail::ShardCells), while the
+// simulated clock charges a brute-force scan of the whole shard.  The
+// points live as two parallel coordinate arrays (structure-of-arrays:
+// one contiguous stream of x, one of y), so the AVX2 path can compare
+// four points per instruction without a gather.  The result is an
+// integer match count, so bit-identity between the paths means "the same
+// count" — guaranteed because both perform the identical IEEE
+// comparisons: the closed-rectangle test
 //   x >= xmin && x <= xmax && y >= ymin && y <= ymax
 // with ordered (NaN-rejecting) semantics, matching spatial::
 // Rect::contains exactly, including boundary points and NaN coordinates.

@@ -10,8 +10,8 @@
 //     the row-major cell ids are block-partitioned over the shard ranks
 //     (container::Partitioning — the same deterministic cut machinery
 //     the elastic containers use).  Each shard materializes only its own
-//     points, stored as coordinate arrays (SoA) for the SIMD filter
-//     kernel; no rank holds the whole dataset.
+//     points, stored as coordinate arrays (SoA) in row-major cell order
+//     for the SIMD filter kernel; no rank holds the whole dataset.
 //   * **Open-loop load.**  Rank 0 is a driver generating a sustained
 //     query stream at a fixed offered rate: arrival i happens at
 //     (i+1)/qps whether or not the system has kept up (open loop — the
@@ -33,6 +33,7 @@
 // with the same latencies, on threads, shm, and tcp.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -95,8 +96,12 @@ struct ServeResult {
   std::uint64_t batches = 0;
 
   std::uint64_t total_matches = 0;    // sum of per-query match counts
-  std::uint64_t entries_checked = 0;  // points scanned over all shards
-  /// max / mean of per-shard scanned entries (1.0 = perfectly balanced).
+  /// Points the modelled brute-force shard scan tests, over all shards:
+  /// every routed query against every point of its shard.  The simulated
+  /// clock charges this scan; the host scans only the cells a window
+  /// overlaps (detail::ShardCells), which gives the same counts.
+  std::uint64_t entries_checked = 0;
+  /// max / mean of per-shard modelled scan entries (1.0 = balanced).
   double shard_imbalance = 0.0;
 
   double makespan = 0.0;      // driver clock when the last batch completed
@@ -145,5 +150,74 @@ class QueryStream {
 /// Smallest grid side g with g*g >= 4 * shards (the default used when
 /// ServeConfig::grid == 0).
 int default_grid_side(int shards);
+
+namespace detail {
+
+/// Grid coordinate of `v` on an axis of `g` cells `cell_side` wide:
+/// trunc(v / cell_side) clamped into [0, g-1], so a value at `extent`
+/// lands in the last cell (and NaN in the first).  The rule is monotone
+/// in v, so every point of a closed window lies in a cell the window's
+/// corners span.  Routing and the shard scan are exact because both
+/// use this one rule.
+std::size_t cell_coord(double v, double cell_side, int g);
+
+/// One shard's points, bucketed by grid cell: the points whose row-major
+/// cell id lies in the owned range [c0, c1), as coordinate arrays sorted
+/// by cell, with `start_[c - c0]` the first slot of cell c.
+class ShardCells {
+ public:
+  /// Keeps the owned points of the stream `visit` produces: visit(f)
+  /// calls f(x, y) once per point.  `visit` runs twice and must replay
+  /// the same stream.  The first pass counts the points per cell, the
+  /// second writes each point into its slot, so the coordinate arrays are
+  /// allocated once, at their final size.
+  template <class Visit>
+  ShardCells(double cell_side, int g, std::size_t c0, std::size_t c1,
+             Visit&& visit);
+
+  [[nodiscard]] std::size_t size() const { return xs_.size(); }
+
+  /// Points inside the closed `window`, equal to count_in_rect over every
+  /// point of the shard.  Each window row covers a contiguous run of cell
+  /// ids; the run clipped to the owned range is one count_in_rect call.
+  [[nodiscard]] std::uint64_t count(kernels::Isa isa,
+                                    const spatial::Rect& window) const;
+
+ private:
+  [[nodiscard]] std::size_t cell_of(double x, double y) const {
+    return cell_coord(y, cell_side_, g_) * static_cast<std::size_t>(g_) +
+           cell_coord(x, cell_side_, g_);
+  }
+
+  double cell_side_;
+  int g_;
+  std::size_t c0_;
+  std::vector<std::size_t> start_;  // c1 - c0 + 1 slots; back() == size()
+  std::vector<double> xs_;
+  std::vector<double> ys_;
+};
+
+template <class Visit>
+ShardCells::ShardCells(double cell_side, int g, std::size_t c0,
+                       std::size_t c1, Visit&& visit)
+    : cell_side_(cell_side), g_(g), c0_(c0), start_(c1 - c0 + 1, 0) {
+  visit([&](double x, double y) {
+    const std::size_t c = cell_of(x, y);
+    if (c >= c0 && c < c1) ++start_[c - c0 + 1];
+  });
+  for (std::size_t i = 1; i < start_.size(); ++i) start_[i] += start_[i - 1];
+  xs_.resize(start_.back());
+  ys_.resize(start_.back());
+  std::vector<std::size_t> next(start_.begin(), start_.end() - 1);
+  visit([&](double x, double y) {
+    const std::size_t c = cell_of(x, y);
+    if (c < c0 || c >= c1) return;
+    const std::size_t slot = next[c - c0]++;
+    xs_[slot] = x;
+    ys_[slot] = y;
+  });
+}
+
+}  // namespace detail
 
 }  // namespace dipdc::modules::rangequery
