@@ -98,9 +98,9 @@ namespace {
 
 /// The default backend: ranks are threads in one address space, so frames
 /// never need to exist — Runtime hands envelopes across by pointer and
-/// skips this object entirely on the hot path.  The channel methods are
-/// still real (an in-process FIFO echo per rank) so the seam contract can
-/// be unit-tested against the same interface the remote backends fulfil.
+/// skips this object entirely on the hot path.  The channel is still real
+/// (an in-process FIFO echo per rank) so the seam contract can be
+/// unit-tested against the same interface the remote backends fulfil.
 class ThreadsBackend final : public Backend {
  public:
   [[nodiscard]] const char* name() const override { return "threads"; }
@@ -110,7 +110,16 @@ class ThreadsBackend final : public Backend {
     channels_ = std::vector<Channel>(static_cast<std::size_t>(nranks));
   }
 
-  void send(int rank, std::span<const std::byte> frame) override {
+  void roundtrip(int rank, std::span<const std::byte> tx,
+                 std::vector<std::byte>& rx) override {
+    send(rank, tx);
+    recv(rank, rx);
+  }
+
+  void finalize() override {}
+
+ private:
+  void send(int rank, std::span<const std::byte> frame) {
     Channel& ch = channels_[static_cast<std::size_t>(rank)];
     {
       std::lock_guard<std::mutex> lock(ch.mu);
@@ -119,7 +128,7 @@ class ThreadsBackend final : public Backend {
     ch.cv.notify_one();
   }
 
-  void recv(int rank, std::vector<std::byte>& frame) override {
+  void recv(int rank, std::vector<std::byte>& frame) {
     Channel& ch = channels_[static_cast<std::size_t>(rank)];
     std::unique_lock<std::mutex> lock(ch.mu);
     ch.cv.wait(lock, [&ch] { return !ch.frames.empty(); });
@@ -127,9 +136,6 @@ class ThreadsBackend final : public Backend {
     ch.frames.pop_front();
   }
 
-  void finalize() override {}
-
- private:
   struct Channel {
     std::mutex mu;
     std::condition_variable cv;

@@ -7,7 +7,7 @@
 // envelope, pushes the frame into its per-rank channel, and receives the
 // frame back after it has genuinely crossed the backend's transport
 // (in-process queue, shared-memory rings serviced by a forked router
-// process, or loopback TCP through a nonblocking relay).  The frame that
+// process, or the rank's own loopback TCP connection).  The frame that
 // comes back is deserialized into a fresh pooled envelope and delivered
 // through the ordinary mailbox path.
 //
@@ -18,11 +18,10 @@
 //
 // Channel contract (what Runtime relies on):
 //  * channel `r` belongs to world rank `r`; only that rank's thread calls
-//    send(r, ...)/recv(r, ...), and frames echo back in FIFO order;
-//  * send() may block on backpressure but always completes while the
-//    counterpart (router process / relay thread) is alive;
-//  * recv() blocks until the next frame for `r` arrives, and fails loudly
-//    (MpiError) instead of hanging forever if the transport dies.
+//    roundtrip(r, ...), so a channel never holds more than one frame;
+//  * roundtrip() returns the frame's bytes unchanged, whatever its size,
+//    and fails loudly (MpiError) instead of hanging forever if the
+//    transport dies.
 #pragma once
 
 #include <cstddef>
@@ -57,24 +56,18 @@ class Backend {
   /// handoff (borrowed/shared buffers) is safe.
   [[nodiscard]] virtual bool shares_address_space() const = 0;
 
-  /// Establishes the per-rank channels (rings, sockets, router/relay).
+  /// Establishes the per-rank channels (rings and router, or sockets).
   /// Called exactly once, before any rank thread exists — the shm backend
   /// forks its router here, while the process is still single-threaded.
   virtual void connect(int nranks) = 0;
 
-  /// Pushes one frame into world rank `rank`'s channel.
-  virtual void send(int rank, std::span<const std::byte> frame) = 0;
+  /// Sends `tx` through world rank `rank`'s channel and blocks until its
+  /// echo has come back into `rx` (resized to fit).  Only that rank's own
+  /// thread calls it for `rank`.
+  virtual void roundtrip(int rank, std::span<const std::byte> tx,
+                         std::vector<std::byte>& rx) = 0;
 
-  /// Blocks until the next frame on `rank`'s channel arrives and fills
-  /// `frame` with it.
-  virtual void recv(int rank, std::vector<std::byte>& frame) = 0;
-
-  /// Pumps transport I/O.  Backends with an internal progress thread (the
-  /// TCP relay's nonblocking poll loop) drive this themselves; for the
-  /// others it is a no-op hook.
-  virtual void progress() {}
-
-  /// Tears the transport down (stops the router/relay, releases rings and
+  /// Tears the transport down (stops the router, releases rings and
   /// sockets).  Idempotent; also invoked by the destructor.
   virtual void finalize() = 0;
 };

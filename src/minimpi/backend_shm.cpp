@@ -190,19 +190,10 @@ class ShmBackend final : public Backend {
     router_ = pid;
   }
 
-  void send(int rank, std::span<const std::byte> frame) override {
-    const std::size_t r = static_cast<std::size_t>(rank);
-    const std::uint64_t len = frame.size();
-    stream_write(r, reinterpret_cast<const std::byte*>(&len), sizeof(len));
-    stream_write(r, frame.data(), frame.size());
-  }
-
-  void recv(int rank, std::vector<std::byte>& frame) override {
-    const std::size_t r = static_cast<std::size_t>(rank);
-    std::uint64_t len = 0;
-    stream_read(r, reinterpret_cast<std::byte*>(&len), sizeof(len));
-    frame.resize(static_cast<std::size_t>(len));
-    stream_read(r, frame.data(), frame.size());
+  void roundtrip(int rank, std::span<const std::byte> tx,
+                 std::vector<std::byte>& rx) override {
+    send(rank, tx);
+    recv(rank, rx);
   }
 
   void finalize() override {
@@ -230,6 +221,21 @@ class ShmBackend final : public Backend {
   }
 
  private:
+  void send(int rank, std::span<const std::byte> frame) {
+    const std::size_t r = static_cast<std::size_t>(rank);
+    const std::uint64_t len = frame.size();
+    stream_write(r, reinterpret_cast<const std::byte*>(&len), sizeof(len));
+    stream_write(r, frame.data(), frame.size());
+  }
+
+  void recv(int rank, std::vector<std::byte>& frame) {
+    const std::size_t r = static_cast<std::size_t>(rank);
+    std::uint64_t len = 0;
+    stream_read(r, reinterpret_cast<std::byte*>(&len), sizeof(len));
+    frame.resize(static_cast<std::size_t>(len));
+    stream_read(r, frame.data(), frame.size());
+  }
+
   /// Blocking stream write with the stall failsafe (parent side only).
   ///
   /// Deadlock note: a frame larger than the ring cannot fit in tx and rx at
@@ -238,8 +244,9 @@ class ShmBackend final : public Backend {
   /// rx fills, at which point it stops draining tx and both sides would
   /// wedge.  So whenever tx is full the sender drains whatever has already
   /// come back on rx into a local spill buffer; recv serves the spill
-  /// before touching the ring.  (Each rank strictly alternates send/recv,
-  /// so the spill is plain per-rank state touched only by its own thread.)
+  /// before touching the ring.  (roundtrip() pairs every send with its
+  /// recv, so the spill is plain per-rank state touched only by its own
+  /// thread.)
   void stream_write(std::size_t r, const std::byte* src, std::size_t n) {
     Ring& ring = tx_[r];
     Backoff backoff;

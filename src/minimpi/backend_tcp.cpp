@@ -1,24 +1,22 @@
-// TCP transport backend (loopback first): every frame is written
-// length-prefixed onto the sending rank's socket, crosses the kernel
-// network stack to an in-process relay, and is echoed back on the same
-// connection.  The relay is a single nonblocking progress loop
-// (poll + partial-read/-write reassembly), which is the shape a future
-// multi-machine peer would grow out of: replace "echo to the same
-// connection" with "forward to the destination host" and the framing,
-// progress loop, and runtime seam all stay as they are.
+// TCP transport backend (loopback first): each rank owns one loopback
+// connection to itself.  roundtrip() writes the length-prefixed frame into
+// the client end and reads its echo off the accepted end, so every frame
+// crosses the kernel network stack once.  Both ends are driven from the
+// rank's own thread in one full-duplex poll loop: a frame larger than the
+// two socket buffers together drains while it is still being written.  A
+// multi-machine peer would grow out of this by connecting the client end
+// to the destination host instead of to itself; the framing and the seam
+// stay as they are.
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
 #include <cstring>
-#include <deque>
-#include <thread>
 
 #include "minimpi/backend.hpp"
 #include "minimpi/error.hpp"
@@ -33,41 +31,25 @@ namespace {
                  std::strerror(errno));
 }
 
-void set_nonblocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0 || ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) < 0) {
-    throw_errno("fcntl(O_NONBLOCK)");
+/// The not-yet-transferred tail of a length prefix followed by a body,
+/// `done` bytes into the stream; returns how many iovecs it filled.
+std::size_t stream_tail(iovec (&iov)[2], void* prefix, std::byte* body,
+                        std::size_t body_len, std::size_t done) {
+  constexpr std::size_t kPrefix = sizeof(std::uint64_t);
+  std::size_t n = 0;
+  if (done < kPrefix) {
+    iov[n++] = {static_cast<char*>(prefix) + done, kPrefix - done};
   }
+  const std::size_t body_done = done > kPrefix ? done - kPrefix : 0;
+  if (body_done < body_len) {
+    iov[n++] = {body + body_done, body_len - body_done};
+  }
+  return n;
 }
 
-/// Full blocking write, resilient to partial writes and EINTR.
-/// MSG_NOSIGNAL: a dead relay must surface as an error, not SIGPIPE.
-void write_all(int fd, const std::byte* data, std::size_t n) {
-  while (n > 0) {
-    const ssize_t wrote = ::send(fd, data, n, MSG_NOSIGNAL);
-    if (wrote < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("send");
-    }
-    data += wrote;
-    n -= static_cast<std::size_t>(wrote);
-  }
-}
-
-/// Full blocking read; EOF means the relay went away mid-run.
-void read_all(int fd, std::byte* data, std::size_t n) {
-  while (n > 0) {
-    const ssize_t got = ::read(fd, data, n);
-    if (got < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("read");
-    }
-    if (got == 0) {
-      throw MpiError("tcp backend: relay closed the connection");
-    }
-    data += got;
-    n -= static_cast<std::size_t>(got);
-  }
+/// True when `errno` after a MSG_DONTWAIT call only means "not now".
+bool would_block() {
+  return errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR;
 }
 
 class TcpBackend final : public Backend {
@@ -75,18 +57,13 @@ class TcpBackend final : public Backend {
   explicit TcpBackend(const BackendOptions& opt)
       : host_(opt.tcp_host), port_(opt.tcp_port) {}
 
-  ~TcpBackend() override {
-    try {
-      finalize();
-    } catch (...) {
-    }
-  }
+  ~TcpBackend() override { finalize(); }
 
   [[nodiscard]] const char* name() const override { return "tcp"; }
   [[nodiscard]] bool shares_address_space() const override { return false; }
 
   void connect(int nranks) override {
-    DIPDC_REQUIRE(relay_fds_.empty(), "tcp backend connected twice");
+    DIPDC_REQUIRE(ends_.empty(), "tcp backend connected twice");
     const std::size_t n = static_cast<std::size_t>(nranks);
 
     sockaddr_in addr{};
@@ -96,149 +73,147 @@ class TcpBackend final : public Backend {
       throw MpiError("tcp backend: bad host address '" + host_ + "'");
     }
 
-    const int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listener < 0) throw_errno("socket");
+    // Closed on every exit path; only the rank connections outlive connect().
+    struct Listener {
+      int fd;
+      ~Listener() { ::close(fd); }
+    } listener{::socket(AF_INET, SOCK_STREAM, 0)};
+    if (listener.fd < 0) throw_errno("socket");
     const int one = 1;
-    ::setsockopt(listener, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    if (::bind(listener, reinterpret_cast<const sockaddr*>(&addr),
+    ::setsockopt(listener.fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+    if (::bind(listener.fd, reinterpret_cast<const sockaddr*>(&addr),
                sizeof(addr)) < 0) {
-      ::close(listener);
       throw_errno("bind");
     }
-    if (::listen(listener, nranks + 8) < 0) {
-      ::close(listener);
-      throw_errno("listen");
-    }
+    if (::listen(listener.fd, nranks + 8) < 0) throw_errno("listen");
     // With port 0 the kernel picked an ephemeral port; learn it so the
     // rank sockets know where to connect.
     socklen_t addr_len = sizeof(addr);
-    if (::getsockname(listener, reinterpret_cast<sockaddr*>(&addr),
+    if (::getsockname(listener.fd, reinterpret_cast<sockaddr*>(&addr),
                       &addr_len) < 0) {
-      ::close(listener);
       throw_errno("getsockname");
     }
 
-    // Connect one client socket per rank (the kernel backlog completes
-    // the handshakes), then accept the relay ends.
-    rank_fds_.reserve(n);
-    relay_fds_.reserve(n);
+    // Connect and accept in lockstep, so the one connection in the accept
+    // queue is the one just connected: rank r's two ends are the same
+    // connection.  An end is recorded as soon as it exists, so a failure
+    // part-way leaves finalize() every fd to close.
+    ends_.reserve(n);
     for (std::size_t r = 0; r < n; ++r) {
-      const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-      if (fd < 0) throw_errno("socket");
-      if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr),
+      Ends& ends = ends_.emplace_back();
+      ends.write_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+      if (ends.write_fd < 0) throw_errno("socket");
+      if (::connect(ends.write_fd, reinterpret_cast<const sockaddr*>(&addr),
                     sizeof(addr)) < 0) {
-        ::close(fd);
         throw_errno("connect");
       }
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      rank_fds_.push_back(fd);
+      ends.read_fd = ::accept(listener.fd, nullptr, nullptr);
+      if (ends.read_fd < 0) throw_errno("accept");
+      if (!same_connection(ends)) {
+        throw MpiError("tcp backend: a foreign client connected to port " +
+                       std::to_string(ntohs(addr.sin_port)));
+      }
+      for (const int fd : {ends.write_fd, ends.read_fd}) {
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+      }
     }
-    for (std::size_t r = 0; r < n; ++r) {
-      const int fd = ::accept(listener, nullptr, nullptr);
-      if (fd < 0) throw_errno("accept");
-      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      set_nonblocking(fd);
-      relay_fds_.push_back(fd);
-    }
-    ::close(listener);
-
-    pending_ = std::vector<Outbox>(n);
-    stop_.store(false, std::memory_order_release);
-    relay_ = std::thread([this] {
-      while (!stop_.load(std::memory_order_acquire)) progress();
-    });
   }
 
-  void send(int rank, std::span<const std::byte> frame) override {
-    const int fd = rank_fds_[static_cast<std::size_t>(rank)];
-    const std::uint64_t len = frame.size();
-    write_all(fd, reinterpret_cast<const std::byte*>(&len), sizeof(len));
-    write_all(fd, frame.data(), frame.size());
-  }
-
-  void recv(int rank, std::vector<std::byte>& frame) override {
-    const int fd = rank_fds_[static_cast<std::size_t>(rank)];
-    std::uint64_t len = 0;
-    read_all(fd, reinterpret_cast<std::byte*>(&len), sizeof(len));
-    frame.resize(static_cast<std::size_t>(len));
-    read_all(fd, frame.data(), frame.size());
-  }
-
-  /// One iteration of the relay's nonblocking progress loop: poll every
-  /// connection, ingest whatever arrived, and push queued echo bytes back
-  /// out as far as the socket buffers allow.  The relay thread drives
-  /// this; frames are never parsed here — the byte stream is echoed
-  /// verbatim and the length-prefixed framing is reconstructed by the
-  /// receiving rank.
-  void progress() override {
-    std::vector<pollfd> fds(relay_fds_.size());
-    for (std::size_t i = 0; i < relay_fds_.size(); ++i) {
-      fds[i].fd = relay_fds_[i];
-      fds[i].events = POLLIN;
-      if (!pending_[i].chunks.empty()) fds[i].events |= POLLOUT;
-    }
-    const int ready =
-        ::poll(fds.data(), static_cast<nfds_t>(fds.size()), 50);
-    if (ready <= 0) return;  // timeout/EINTR: loop re-checks stop_
-    std::byte buf[16384];
-    for (std::size_t i = 0; i < fds.size(); ++i) {
-      if ((fds[i].revents & (POLLIN | POLLERR | POLLHUP)) != 0) {
-        for (;;) {
-          const ssize_t got = ::read(fds[i].fd, buf, sizeof(buf));
-          if (got > 0) {
-            pending_[i].chunks.emplace_back(buf, buf + got);
-            continue;
-          }
-          // EOF or EAGAIN: a closed rank socket just goes quiet here;
-          // finalize() tears the relay down.
-          break;
+  /// Writes `[len][tx]` and reads `[len][rx]` back in one loop: whichever
+  /// direction can move does, and the thread sleeps in poll() only when
+  /// neither can.
+  void roundtrip(int rank, std::span<const std::byte> tx,
+                 std::vector<std::byte>& rx) override {
+    const Ends& ends = ends_[static_cast<std::size_t>(rank)];
+    std::uint64_t sent_len = tx.size();
+    std::uint64_t echoed_len = 0;
+    const std::size_t total = sizeof(sent_len) + tx.size();
+    rx.resize(tx.size());
+    // sendmsg never writes through the iovec, so dropping const is safe.
+    std::byte* tx_bytes = const_cast<std::byte*>(tx.data());
+    std::size_t sent = 0;
+    std::size_t got = 0;
+    while (got < total) {
+      bool moved = false;
+      if (sent < total) {
+        msghdr msg{};
+        iovec iov[2];
+        msg.msg_iov = iov;
+        msg.msg_iovlen = stream_tail(iov, &sent_len, tx_bytes, tx.size(), sent);
+        const ssize_t wrote = ::sendmsg(ends.write_fd, &msg,
+                                        MSG_DONTWAIT | MSG_NOSIGNAL);
+        if (wrote > 0) {
+          sent += static_cast<std::size_t>(wrote);
+          moved = true;
+        } else if (!would_block()) {
+          throw_errno("send");
         }
       }
-      Outbox& out = pending_[i];
-      while (!out.chunks.empty()) {
-        std::vector<std::byte>& chunk = out.chunks.front();
-        const std::size_t left = chunk.size() - out.offset;
-        const ssize_t wrote = ::send(fds[i].fd, chunk.data() + out.offset,
-                                     left, MSG_NOSIGNAL);
-        if (wrote < 0) break;  // EAGAIN: retry next iteration
-        out.offset += static_cast<std::size_t>(wrote);
-        if (out.offset == chunk.size()) {
-          out.chunks.pop_front();
-          out.offset = 0;
-        } else {
-          break;  // socket buffer full mid-chunk
+      msghdr msg{};
+      iovec iov[2];
+      msg.msg_iov = iov;
+      msg.msg_iovlen =
+          stream_tail(iov, &echoed_len, rx.data(), rx.size(), got);
+      const ssize_t rcvd = ::recvmsg(ends.read_fd, &msg, MSG_DONTWAIT);
+      if (rcvd > 0) {
+        const bool had_prefix = got >= sizeof(echoed_len);
+        got += static_cast<std::size_t>(rcvd);
+        if (!had_prefix && got >= sizeof(echoed_len) &&
+            echoed_len != sent_len) {
+          throw MpiError("tcp backend: rank " + std::to_string(rank) +
+                         " sent a " + std::to_string(sent_len) +
+                         "-byte frame but its echo announced " +
+                         std::to_string(echoed_len) + " bytes");
         }
+        moved = true;
+      } else if (rcvd == 0) {
+        throw MpiError("tcp backend: rank " + std::to_string(rank) +
+                       "'s connection closed mid-frame");
+      } else if (!would_block()) {
+        throw_errno("recv");
+      }
+      if (moved) continue;
+      pollfd fds[2] = {{ends.read_fd, POLLIN, 0}, {ends.write_fd, POLLOUT, 0}};
+      if (::poll(fds, sent < total ? 2 : 1, -1) < 0 && errno != EINTR) {
+        throw_errno("poll");
       }
     }
   }
 
   void finalize() override {
-    if (relay_.joinable()) {
-      stop_.store(true, std::memory_order_release);
-      // Half-closing the rank ends hands every relay socket an EOF, so a
-      // relay parked in poll() wakes now instead of at its timeout.
-      for (const int fd : rank_fds_) ::shutdown(fd, SHUT_WR);
-      relay_.join();
+    for (const Ends& ends : ends_) {
+      if (ends.write_fd >= 0) ::close(ends.write_fd);
+      if (ends.read_fd >= 0) ::close(ends.read_fd);
     }
-    for (const int fd : rank_fds_) ::close(fd);
-    rank_fds_.clear();
-    for (const int fd : relay_fds_) ::close(fd);
-    relay_fds_.clear();
+    ends_.clear();
   }
 
  private:
-  struct Outbox {
-    std::deque<std::vector<std::byte>> chunks;
-    std::size_t offset = 0;  // bytes of chunks.front() already written
+  /// One rank's loopback connection to itself.
+  struct Ends {
+    int write_fd = -1;  // the client end: frames go in here
+    int read_fd = -1;   // the accepted end: echoes come out here
   };
+
+  /// True when the accepted end's peer is the client end's own address.
+  static bool same_connection(const Ends& ends) {
+    sockaddr_in client{};
+    sockaddr_in peer{};
+    socklen_t client_len = sizeof(client);
+    socklen_t peer_len = sizeof(peer);
+    if (::getsockname(ends.write_fd, reinterpret_cast<sockaddr*>(&client),
+                      &client_len) < 0 ||
+        ::getpeername(ends.read_fd, reinterpret_cast<sockaddr*>(&peer),
+                      &peer_len) < 0) {
+      throw_errno("getpeername");
+    }
+    return client.sin_port == peer.sin_port &&
+           client.sin_addr.s_addr == peer.sin_addr.s_addr;
+  }
 
   std::string host_;
   std::uint16_t port_;
-  std::vector<int> rank_fds_;   // blocking; owned by the rank threads
-  std::vector<int> relay_fds_;  // nonblocking; owned by the relay thread
-  std::vector<Outbox> pending_;
-  std::atomic<bool> stop_{false};
-  std::thread relay_;
+  std::vector<Ends> ends_;
 };
 
 }  // namespace

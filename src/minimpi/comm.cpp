@@ -288,7 +288,7 @@ std::shared_ptr<detail::Envelope> Comm::inject(
     dup->byte_time = env->byte_time;
   }
   // Cross the transport seam (identity on the threads backend; a serialize/
-  // round-trip/deserialize through the router or relay on shm/tcp).
+  // round-trip/deserialize through the router or socket on shm/tcp).
   env = runtime_->transport_envelope(std::move(env));
   if (dup) dup = runtime_->transport_envelope(std::move(dup));
 

@@ -18,9 +18,8 @@ namespace dipdc::minimpi {
 ///    round-trips through shared-memory rings serviced by a forked router
 ///    *process*, forcing true payload serialization across an address-space
 ///    boundary.
-///  - kTcp: frames round-trip through loopback TCP sockets pumped by a
-///    nonblocking relay loop, pushing every payload through the kernel
-///    network stack.
+///  - kTcp: each rank's frames round-trip through its own loopback TCP
+///    connection, pushing every payload through the kernel network stack.
 ///
 /// Simulated results are bit-identical across backends: the simulated
 /// timing fields travel inside the frame, and matching/ordering stay above
@@ -35,11 +34,12 @@ struct BackendOptions {
   /// memory, not message size.
   std::size_t shm_ring_bytes = 1 << 20;
 
-  /// TCP backend: address the relay listens on.  Loopback by default; a
-  /// routable address is the first step towards ranks on other machines.
+  /// TCP backend: address the rank connections' listener binds.  Loopback
+  /// by default; a routable address is the first step towards ranks on
+  /// other machines.
   std::string tcp_host = "127.0.0.1";
-  /// TCP backend: relay port; 0 picks an ephemeral port (concurrent worlds
-  /// never collide).
+  /// TCP backend: listener port; 0 picks an ephemeral port (concurrent
+  /// worlds never collide).
   std::uint16_t tcp_port = 0;
 };
 

@@ -97,8 +97,8 @@ std::shared_ptr<detail::Envelope> Runtime::transport_envelope(
   // touched by that rank's own thread, outside the runtime lock.
   detail::RankState& st = rank_state(env->src_world);
   detail_backend::serialize_envelope(*env, st.backend_tx_frame);
-  backend_->send(env->src_world, st.backend_tx_frame);
-  backend_->recv(env->src_world, st.backend_rx_frame);
+  backend_->roundtrip(env->src_world, st.backend_tx_frame,
+                      st.backend_rx_frame);
   std::shared_ptr<detail::Envelope> delivered = acquire_envelope();
   detail_backend::deserialize_envelope(st.backend_rx_frame, *delivered,
                                        *buffer_pool_);

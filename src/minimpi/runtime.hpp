@@ -186,7 +186,7 @@ class Runtime {
   /// that actually gets delivered.  On the threads backend this is `env`
   /// itself (no serialization).  On shm/tcp the envelope is serialized,
   /// round-trips through the foreign transport (router process / loopback
-  /// relay), and comes back as a fresh pooled envelope that owns its
+  /// connection), and comes back as a fresh pooled envelope that owns its
   /// payload bytes.  Must be called WITHOUT the runtime lock, by the
   /// sending rank's own thread (it blocks on the backend channel).
   /// Borrowed payloads are rejected loudly — callers must degrade

@@ -1,6 +1,6 @@
 // Module 4, serving mode — a sharded range-query *service* under
-// sustained load (ROADMAP item 2: the "millions of users" scenario the
-// batch module can only gesture at).
+// sustained load (the "millions of users" scenario the batch module can
+// only gesture at).
 //
 // The batch module (module4.hpp) replicates the points on every rank,
 // answers one fixed query set, and exits.  Serving mode changes all
