@@ -13,11 +13,10 @@
 // BENCH_collectives.json at the repository root.
 //
 // A third axis measures the transport backends: bcast (latency) and
-// allreduce (bandwidth) additionally run with ranks as forked shm
-// processes and as TCP loopback peers.  Simulated results stay
-// bit-identical (minimpi_backend_test pins that); the rows quantify the
-// real-time cost of true serialization + a process/kernel round trip per
-// envelope versus the in-process threads mailboxes.
+// allreduce (bandwidth) additionally run with ranks as TCP loopback peers.
+// Simulated results stay bit-identical (minimpi_backend_test pins that);
+// the rows quantify the real-time cost of true serialization + a kernel
+// round trip per envelope versus the in-process threads mailboxes.
 #include <benchmark/benchmark.h>
 
 #include <cstddef>
@@ -209,7 +208,7 @@ void BM_AlltoallvTuned(benchmark::State& s) {
 }
 
 // Per-backend rows.  BM_*Threads repeats the default configuration on the
-// backend grid so all three transports share directly comparable points
+// backend grid so both transports share directly comparable points
 // (the full-grid threads sweep is the Tuned series above).
 void BM_BcastThreads(benchmark::State& s) {
   run_bcast(s, backend_options(mpi::BackendKind::kThreads));
@@ -217,14 +216,8 @@ void BM_BcastThreads(benchmark::State& s) {
 void BM_AllreduceThreads(benchmark::State& s) {
   run_allreduce(s, backend_options(mpi::BackendKind::kThreads));
 }
-void BM_BcastShm(benchmark::State& s) {
-  run_bcast(s, backend_options(mpi::BackendKind::kShm));
-}
 void BM_BcastTcp(benchmark::State& s) {
   run_bcast(s, backend_options(mpi::BackendKind::kTcp));
-}
-void BM_AllreduceShm(benchmark::State& s) {
-  run_allreduce(s, backend_options(mpi::BackendKind::kShm));
 }
 void BM_AllreduceTcp(benchmark::State& s) {
   run_allreduce(s, backend_options(mpi::BackendKind::kTcp));
@@ -235,9 +228,9 @@ const std::vector<std::vector<std::int64_t>> kGrid = {
     {1 << 10, 64 << 10, 4 << 20},       // payload bytes
 };
 
-// Smaller grid for the non-threads backends: every mpi::run pays a real
-// fork (shm) or socket-mesh setup (tcp), so the sweep stays focused on
-// one latency point and one bandwidth point per rank count.
+// Smaller grid for the tcp backend: every mpi::run pays a real socket
+// setup, so the sweep stays focused on one latency point and one
+// bandwidth point per rank count.
 const std::vector<std::vector<std::int64_t>> kBackendGrid = {
     {4, 8},                             // ranks
     {1 << 10, 1 << 20},                 // payload bytes
@@ -257,9 +250,7 @@ BENCHMARK(BM_AlltoallvBaseline)->ArgsProduct(kGrid)->UseRealTime();
 BENCHMARK(BM_AlltoallvTuned)->ArgsProduct(kGrid)->UseRealTime();
 BENCHMARK(BM_BcastThreads)->ArgsProduct(kBackendGrid)->UseRealTime();
 BENCHMARK(BM_AllreduceThreads)->ArgsProduct(kBackendGrid)->UseRealTime();
-BENCHMARK(BM_BcastShm)->ArgsProduct(kBackendGrid)->UseRealTime();
 BENCHMARK(BM_BcastTcp)->ArgsProduct(kBackendGrid)->UseRealTime();
-BENCHMARK(BM_AllreduceShm)->ArgsProduct(kBackendGrid)->UseRealTime();
 BENCHMARK(BM_AllreduceTcp)->ArgsProduct(kBackendGrid)->UseRealTime();
 
 BENCHMARK_MAIN();

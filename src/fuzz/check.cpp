@@ -328,7 +328,7 @@ std::string BackendEquivalence::summary(std::size_t max_lines) const {
   return os.str();
 }
 
-BackendEquivalence check_across_backends(const Program& p, bool skip_shm) {
+BackendEquivalence check_across_backends(const Program& p) {
   const Expectation e = oracle(p);
   const minimpi::FaultOptions& f = p.options.faults;
   const bool lossy = f.drop_prob > 0.0 || f.dup_prob > 0.0;
@@ -336,12 +336,9 @@ BackendEquivalence check_across_backends(const Program& p, bool skip_shm) {
   const bool compare_digests = !lossy && !kills;
 
   BackendEquivalence eq;
-  eq.digests.resize(3);
   std::string threads_digest;
   for (const minimpi::BackendKind kind :
-       {minimpi::BackendKind::kThreads, minimpi::BackendKind::kShm,
-        minimpi::BackendKind::kTcp}) {
-    if (skip_shm && kind == minimpi::BackendKind::kShm) continue;
+       {minimpi::BackendKind::kThreads, minimpi::BackendKind::kTcp}) {
     Program variant = p;
     variant.options.backend.kind = kind;
     const ExecutionOutcome out = execute(variant);
@@ -352,7 +349,6 @@ BackendEquivalence check_across_backends(const Program& p, bool skip_shm) {
       eq.failures.push_back(std::string(name) + ": " + fail);
     }
     const std::string d = digest(variant, e, out);
-    eq.digests[static_cast<std::size_t>(kind)] = d;
     if (kind == minimpi::BackendKind::kThreads) {
       threads_digest = d;
     } else if (compare_digests && d != threads_digest) {

@@ -5,11 +5,10 @@
 // the obs sequence plumbing — lives ABOVE this seam, in Runtime/Comm.  A
 // Backend only moves opaque byte frames: the sender serializes an
 // envelope, pushes the frame into its per-rank channel, and receives the
-// frame back after it has genuinely crossed the backend's transport
-// (in-process queue, shared-memory rings serviced by a forked router
-// process, or the rank's own loopback TCP connection).  The frame that
-// comes back is deserialized into a fresh pooled envelope and delivered
-// through the ordinary mailbox path.
+// frame back after it has genuinely crossed the backend's transport (an
+// in-process queue, or the rank's own loopback TCP connection).  The frame
+// that comes back is deserialized into a fresh pooled envelope and
+// delivered through the ordinary mailbox path.
 //
 // Because the same rank thread performs delivery at the same program
 // point on every backend, and the simulated-timing fields travel inside
@@ -36,7 +35,7 @@
 
 namespace dipdc::minimpi {
 
-/// Canonical CLI name of a backend kind ("threads" / "shm" / "tcp").
+/// Canonical CLI name of a backend kind ("threads" / "tcp").
 [[nodiscard]] const char* to_string(BackendKind kind);
 
 /// Parses a CLI spelling into a BackendKind; false when unrecognised.
@@ -56,9 +55,8 @@ class Backend {
   /// handoff (borrowed/shared buffers) is safe.
   [[nodiscard]] virtual bool shares_address_space() const = 0;
 
-  /// Establishes the per-rank channels (rings and router, or sockets).
-  /// Called exactly once, before any rank thread exists — the shm backend
-  /// forks its router here, while the process is still single-threaded.
+  /// Establishes the per-rank channels (queues or sockets).  Called exactly
+  /// once, before any rank thread exists.
   virtual void connect(int nranks) = 0;
 
   /// Sends `tx` through world rank `rank`'s channel and blocks until its
@@ -67,8 +65,8 @@ class Backend {
   virtual void roundtrip(int rank, std::span<const std::byte> tx,
                          std::vector<std::byte>& rx) = 0;
 
-  /// Tears the transport down (stops the router, releases rings and
-  /// sockets).  Idempotent; also invoked by the destructor.
+  /// Tears the transport down (closes the sockets).  Idempotent; also
+  /// invoked by the destructor.
   virtual void finalize() = 0;
 };
 
@@ -110,11 +108,9 @@ void deserialize_envelope(std::span<const std::byte> frame,
 [[nodiscard]] std::unique_ptr<Backend> make_backend(
     const BackendOptions& opt);
 
-/// The two multi-process/-socket backends, exposed for make_backend and
-/// direct unit tests (backend.cpp, backend_shm.cpp, backend_tcp.cpp).
+/// The two backends, exposed for make_backend and direct unit tests
+/// (backend.cpp, backend_tcp.cpp).
 [[nodiscard]] std::unique_ptr<Backend> make_threads_backend();
-[[nodiscard]] std::unique_ptr<Backend> make_shm_backend(
-    const BackendOptions& opt);
 [[nodiscard]] std::unique_ptr<Backend> make_tcp_backend(
     const BackendOptions& opt);
 

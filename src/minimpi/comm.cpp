@@ -249,14 +249,14 @@ std::shared_ptr<detail::Envelope> Comm::inject(
     // Share the staging buffer into the envelope: every hop of a tree or
     // ring forward references the same bytes.  The buffer must not be
     // mutated after this point (collectives uphold that discipline), and
-    // crossing the shm/tcp seam flattens it into the frame while the
+    // crossing the tcp seam flattens it into the frame while the
     // refcount keeps it valid, so sharing is safe on every backend.
     env->payload = detail::Payload::shared_view(*staged);
     st.stats.zero_copy_bytes += data.size();
   } else {
     // Only a blocking rendezvous send may lend its buffer: an isend returns
     // at once (the caller may then mutate the bytes), and a borrow cannot
-    // cross the shm/tcp seam, so there it degrades to a copy.
+    // cross the tcp seam, so there it degrades to a copy.
     env->payload = build_payload(
         data, blocking && rendezvous && runtime_->backend_shares_memory(),
         opt.transport, runtime_->buffer_pool(), st.stats);
@@ -288,7 +288,7 @@ std::shared_ptr<detail::Envelope> Comm::inject(
     dup->byte_time = env->byte_time;
   }
   // Cross the transport seam (identity on the threads backend; a serialize/
-  // round-trip/deserialize through the router or socket on shm/tcp).
+  // round-trip/deserialize through the loopback socket on tcp).
   env = runtime_->transport_envelope(std::move(env));
   if (dup) dup = runtime_->transport_envelope(std::move(dup));
 

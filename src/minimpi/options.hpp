@@ -14,25 +14,17 @@ namespace dipdc::minimpi {
 ///
 ///  - kThreads: ranks are threads in one address space and envelopes are
 ///    handed across by pointer — the seed behaviour, zero overhead.
-///  - kShm: every envelope is serialized into a length-prefixed frame and
-///    round-trips through shared-memory rings serviced by a forked router
-///    *process*, forcing true payload serialization across an address-space
-///    boundary.
-///  - kTcp: each rank's frames round-trip through its own loopback TCP
-///    connection, pushing every payload through the kernel network stack.
+///  - kTcp: every envelope is serialized into a length-prefixed frame that
+///    round-trips through the rank's own loopback TCP connection, pushing
+///    every payload through the kernel network stack.
 ///
 /// Simulated results are bit-identical across backends: the simulated
 /// timing fields travel inside the frame, and matching/ordering stay above
 /// the seam.  Only the real-world transport of the bytes changes.
-enum class BackendKind { kThreads, kShm, kTcp };
+enum class BackendKind { kThreads, kTcp };
 
 struct BackendOptions {
   BackendKind kind = BackendKind::kThreads;
-
-  /// Shared-memory backend: ring capacity per rank per direction.  Frames
-  /// larger than the ring stream through it in chunks, so this bounds
-  /// memory, not message size.
-  std::size_t shm_ring_bytes = 1 << 20;
 
   /// TCP backend: address the rank connections' listener binds.  Loopback
   /// by default; a routable address is the first step towards ranks on

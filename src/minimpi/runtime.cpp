@@ -70,9 +70,7 @@ Runtime::Runtime(int nranks, RuntimeOptions options)
     rank_states_[static_cast<std::size_t>(r)].fault_rng = support::make_stream(
         options_.faults.seed, static_cast<std::uint64_t>(r));
   }
-  // Build and connect the transport backend before any rank thread exists:
-  // the shm backend forks its router process here, while this process is
-  // still single-threaded (fork + threads is a footgun otherwise).
+  // Build and connect the transport backend before any rank thread exists.
   backend_ = detail_backend::make_backend(options_.backend);
   backend_shares_ = backend_->shares_address_space();
   backend_->connect(nranks);

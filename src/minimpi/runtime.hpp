@@ -184,13 +184,13 @@ class Runtime {
 
   /// Pushes `env` through the transport backend and returns the envelope
   /// that actually gets delivered.  On the threads backend this is `env`
-  /// itself (no serialization).  On shm/tcp the envelope is serialized,
-  /// round-trips through the foreign transport (router process / loopback
-  /// connection), and comes back as a fresh pooled envelope that owns its
-  /// payload bytes.  Must be called WITHOUT the runtime lock, by the
-  /// sending rank's own thread (it blocks on the backend channel).
-  /// Borrowed payloads are rejected loudly — callers must degrade
-  /// zero-copy to a copy before crossing the seam.
+  /// itself (no serialization).  On tcp the envelope is serialized,
+  /// round-trips through the rank's loopback connection, and comes back
+  /// as a fresh pooled envelope that owns its payload bytes.  Must be
+  /// called WITHOUT the runtime lock, by the sending rank's own thread (it
+  /// blocks on the backend channel).  Borrowed payloads are rejected
+  /// loudly — callers must degrade zero-copy to a copy before crossing the
+  /// seam.
   [[nodiscard]] std::shared_ptr<detail::Envelope> transport_envelope(
       std::shared_ptr<detail::Envelope> env);
 

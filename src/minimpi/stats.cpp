@@ -46,8 +46,6 @@ std::string transport_report(const CommStats& stats) {
   std::ostringstream os;
   os << "transport: " << stats.transport_messages_sent << " messages, "
      << stats.transport_bytes_sent << " bytes\n";
-  os << "  payload pool: " << stats.pool_hits << " hits, "
-     << stats.pool_misses << " misses\n";
   os << "  inline messages: " << stats.inline_messages << "\n";
   os << "  bytes zero-copy: " << stats.zero_copy_bytes
      << ", copied: " << stats.copied_bytes << "\n";
@@ -76,6 +74,11 @@ std::string transport_report(const CommStats& stats) {
     os << "  " << collective_algo_name(static_cast<CollectiveAlgo>(i))
        << ": " << stats.algo_uses[i] << "\n";
   }
+  // Last, so no line above it depends on it: whether a buffer is back in
+  // the pool when the next one is acquired depends on which rank thread
+  // the host scheduled first.
+  os << kHostScheduleLabel << "payload pool " << stats.pool_hits
+     << " hits, " << stats.pool_misses << " misses\n";
   return os.str();
 }
 

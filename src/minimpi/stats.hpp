@@ -51,7 +51,7 @@ struct CommStats {
   std::uint64_t rendezvous_stalls = 0;
 
   /// Envelopes serialized through a non-shared-memory transport backend
-  /// (shm/tcp), and the wire bytes those frames carried (header included).
+  /// (tcp), and the wire bytes those frames carried (header included).
   /// Always zero on the threads backend, which skips the seam entirely.
   std::uint64_t backend_frames = 0;
   std::uint64_t backend_wire_bytes = 0;
@@ -96,8 +96,12 @@ struct CommStats {
 };
 
 /// Multi-line human-readable report of the transport fast-path counters
-/// and collective algorithm selection (zero-count rows are omitted).
+/// and collective algorithm selection (zero-count rows are omitted).  The
+/// payload pool's hit/miss split depends on host thread scheduling, so it
+/// is the final line, and that line starts with kHostScheduleLabel.
 std::string transport_report(const CommStats& stats);
+inline constexpr const char* kHostScheduleLabel =
+    "host schedule (varies run to run): ";
 
 /// Registers the nonzero CommStats counters into `reg` under stable dotted
 /// names: calls.<primitive>, p2p.*, transport.*, pool.*, fault.*,

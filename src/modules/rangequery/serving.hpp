@@ -30,7 +30,7 @@
 // Everything runs in simulated time on the minimpi machine model, so a
 // fixed configuration is bit-identical across transport backends and
 // kernel ISAs: the same queries are admitted, dropped, and answered,
-// with the same latencies, on threads, shm, and tcp.
+// with the same latencies, on threads and tcp.
 #pragma once
 
 #include <cstddef>

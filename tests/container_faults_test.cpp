@@ -2,7 +2,7 @@
 // and assert the survivors finish with correct results, for an R x N grid
 // over the elastic modules 3 (bucket sort, bit-exact) and 5 (k-means,
 // tolerance-correct) and for the container itself, on every transport
-// backend (shm legs skipped under TSan, as in minimpi_backend_test).
+// backend.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -344,7 +344,7 @@ TEST(ContainerFaults, Module5KillGridMatchesTheNoFaultCentroids) {
 
 TEST(ContainerFaults, Module5AcceptanceScenarioSurvivesOnEveryBackend) {
   // `dipdc module5 --faults=kill=1@3 --repartition` must complete with
-  // correct centroids on the surviving ranks, on threads, shm, and tcp.
+  // correct centroids on the surviving ranks, on threads and tcp.
   const auto d = io::generate_clusters(600, 2, 3, 0.3, 0.0, 30.0, 29);
   m5::Config cfg;
   cfg.k = 3;

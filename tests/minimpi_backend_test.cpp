@@ -3,7 +3,7 @@
 // Three layers:
 //  1. Unit tests of the seam pieces themselves: wire (de)serialization and
 //     the raw channel contract each backend fulfils.
-//  2. Cross-backend equivalence: the same program on threads/shm/tcp must
+//  2. Cross-backend equivalence: the same program on threads and tcp must
 //     produce bit-identical simulated times and user-visible counters —
 //     the seam carries simulated timing inside the frame and delivery
 //     happens at the same program point on every backend, so nothing may
@@ -28,33 +28,10 @@
 namespace mpi = dipdc::minimpi;
 namespace mb = dipdc::minimpi::detail_backend;
 
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define DIPDC_TSAN 1
-#endif
-#endif
-#if !defined(DIPDC_TSAN) && defined(__SANITIZE_THREAD__)
-#define DIPDC_TSAN 1
-#endif
-
 namespace {
 
-/// The shm backend forks a router process; under ThreadSanitizer fork is
-/// only supported in limited ways and the child's shadow state is not
-/// usable, so those tests are skipped in TSan builds (the tcp and threads
-/// legs still run).
-bool skip_under_tsan(mpi::BackendKind kind) {
-#ifdef DIPDC_TSAN
-  return kind == mpi::BackendKind::kShm;
-#else
-  (void)kind;
-  return false;
-#endif
-}
-
 std::vector<mpi::BackendKind> all_backends() {
-  return {mpi::BackendKind::kThreads, mpi::BackendKind::kShm,
-          mpi::BackendKind::kTcp};
+  return {mpi::BackendKind::kThreads, mpi::BackendKind::kTcp};
 }
 
 mpi::RuntimeOptions with_backend(mpi::BackendKind kind,
@@ -68,7 +45,7 @@ std::string backend_param_name(
   return mpi::to_string(param.param);
 }
 
-/// Runs `fn` under every backend and asserts the RunResult is
+/// Runs `fn` on threads and on tcp and asserts the tcp RunResult is
 /// bit-identical to the threads run: same per-rank simulated clocks and
 /// the same user-visible communication counters.
 void expect_equivalent_across_backends(
@@ -76,36 +53,32 @@ void expect_equivalent_across_backends(
     mpi::RuntimeOptions base = {}) {
   const mpi::RunResult ref =
       mpi::run(nranks, fn, with_backend(mpi::BackendKind::kThreads, base));
-  for (const mpi::BackendKind kind :
-       {mpi::BackendKind::kShm, mpi::BackendKind::kTcp}) {
-    if (skip_under_tsan(kind)) continue;
-    SCOPED_TRACE(std::string("backend=") + mpi::to_string(kind));
-    const mpi::RunResult got = mpi::run(nranks, fn, with_backend(kind, base));
-    ASSERT_EQ(got.sim_times.size(), ref.sim_times.size());
-    for (std::size_t r = 0; r < ref.sim_times.size(); ++r) {
-      // Bitwise double equality: the timing fields travel inside the wire
-      // frame, so not even a ulp of drift is acceptable.
-      EXPECT_EQ(got.sim_times[r], ref.sim_times[r]) << "rank " << r;
-    }
-    for (std::size_t r = 0; r < ref.rank_stats.size(); ++r) {
-      const mpi::CommStats& a = ref.rank_stats[r];
-      const mpi::CommStats& b = got.rank_stats[r];
-      EXPECT_EQ(a.calls, b.calls) << "rank " << r;
-      EXPECT_EQ(a.p2p_bytes_sent, b.p2p_bytes_sent) << "rank " << r;
-      EXPECT_EQ(a.p2p_messages_sent, b.p2p_messages_sent) << "rank " << r;
-      EXPECT_EQ(a.p2p_bytes_received, b.p2p_bytes_received) << "rank " << r;
-      EXPECT_EQ(a.p2p_messages_received, b.p2p_messages_received)
-          << "rank " << r;
-      EXPECT_EQ(a.transport_bytes_sent, b.transport_bytes_sent)
-          << "rank " << r;
-      EXPECT_EQ(a.transport_messages_sent, b.transport_messages_sent)
-          << "rank " << r;
-      // (rendezvous_stalls is deliberately absent: it records whether the
-      // sender REALLY blocked before the receiver posted — a wall-clock
-      // race that varies run to run on every backend, threads included.)
-      EXPECT_EQ(a.sim_comm_seconds, b.sim_comm_seconds) << "rank " << r;
-      EXPECT_EQ(a.sim_compute_seconds, b.sim_compute_seconds) << "rank " << r;
-    }
+  const mpi::RunResult got =
+      mpi::run(nranks, fn, with_backend(mpi::BackendKind::kTcp, base));
+  ASSERT_EQ(got.sim_times.size(), ref.sim_times.size());
+  for (std::size_t r = 0; r < ref.sim_times.size(); ++r) {
+    // Bitwise double equality: the timing fields travel inside the wire
+    // frame, so not even a ulp of drift is acceptable.
+    EXPECT_EQ(got.sim_times[r], ref.sim_times[r]) << "rank " << r;
+  }
+  for (std::size_t r = 0; r < ref.rank_stats.size(); ++r) {
+    const mpi::CommStats& a = ref.rank_stats[r];
+    const mpi::CommStats& b = got.rank_stats[r];
+    EXPECT_EQ(a.calls, b.calls) << "rank " << r;
+    EXPECT_EQ(a.p2p_bytes_sent, b.p2p_bytes_sent) << "rank " << r;
+    EXPECT_EQ(a.p2p_messages_sent, b.p2p_messages_sent) << "rank " << r;
+    EXPECT_EQ(a.p2p_bytes_received, b.p2p_bytes_received) << "rank " << r;
+    EXPECT_EQ(a.p2p_messages_received, b.p2p_messages_received)
+        << "rank " << r;
+    EXPECT_EQ(a.transport_bytes_sent, b.transport_bytes_sent)
+        << "rank " << r;
+    EXPECT_EQ(a.transport_messages_sent, b.transport_messages_sent)
+        << "rank " << r;
+    // (rendezvous_stalls is deliberately absent: it records whether the
+    // sender REALLY blocked before the receiver posted — a wall-clock
+    // race that varies run to run on every backend, threads included.)
+    EXPECT_EQ(a.sim_comm_seconds, b.sim_comm_seconds) << "rank " << r;
+    EXPECT_EQ(a.sim_compute_seconds, b.sim_compute_seconds) << "rank " << r;
   }
 }
 
@@ -213,14 +186,8 @@ TEST(BackendWire, MalformedFramesAreRejected) {
 class BackendChannel : public ::testing::TestWithParam<mpi::BackendKind> {};
 
 TEST_P(BackendChannel, RoundTripsFramesOfEverySize) {
-  if (skip_under_tsan(GetParam())) {
-    GTEST_SKIP() << "shm backend forks; not supported under TSan";
-  }
   mpi::BackendOptions opt;
   opt.kind = GetParam();
-  // A deliberately tiny ring so the larger frames must stream through in
-  // many chunks.
-  opt.shm_ring_bytes = 4096;
   auto backend = mb::make_backend(opt);
   EXPECT_STREQ(backend->name(), mpi::to_string(GetParam()));
   backend->connect(/*nranks=*/2);
@@ -327,9 +294,6 @@ TEST(BackendEquivalence, SimComputePhasesInterleaved) {
 class BackendFailures : public ::testing::TestWithParam<mpi::BackendKind> {};
 
 TEST_P(BackendFailures, DeadlockStillDetected) {
-  if (skip_under_tsan(GetParam())) {
-    GTEST_SKIP() << "shm backend forks; not supported under TSan";
-  }
   // Both ranks post a receive nobody will ever satisfy.  A rank blocked in
   // a *backend* channel never registers as a runtime waiter, so this also
   // regression-tests that the detector neither misses the deadlock nor
@@ -345,9 +309,6 @@ TEST_P(BackendFailures, DeadlockStillDetected) {
 }
 
 TEST_P(BackendFailures, RendezvousDeadlockStillDetected) {
-  if (skip_under_tsan(GetParam())) {
-    GTEST_SKIP() << "shm backend forks; not supported under TSan";
-  }
   // Head-to-head blocking rendezvous sends: the classic Module 1 deadlock.
   // The frame round-trip happens BEFORE the sender blocks, so the detector
   // sees both ranks as waiters exactly like on the threads backend.
@@ -366,9 +327,6 @@ TEST_P(BackendFailures, RendezvousDeadlockStillDetected) {
 }
 
 TEST_P(BackendFailures, FaultKillPropagates) {
-  if (skip_under_tsan(GetParam())) {
-    GTEST_SKIP() << "shm backend forks; not supported under TSan";
-  }
   mpi::RuntimeOptions opt = with_backend(GetParam());
   opt.faults.kill_rank = 1;
   opt.faults.kill_at_call = 1;
@@ -383,9 +341,6 @@ TEST_P(BackendFailures, FaultKillPropagates) {
 }
 
 TEST_P(BackendFailures, ReliableDeliveryRecoversFromDrops) {
-  if (skip_under_tsan(GetParam())) {
-    GTEST_SKIP() << "shm backend forks; not supported under TSan";
-  }
   mpi::RuntimeOptions opt = with_backend(GetParam());
   opt.faults.seed = 7;
   opt.faults.drop_prob = 0.5;
@@ -405,38 +360,14 @@ TEST_P(BackendFailures, ReliableDeliveryRecoversFromDrops) {
   EXPECT_GT(res.total_stats().reliable_retries, 0u);
 }
 
-TEST_P(BackendFailures, LargeFramesStreamThroughTinyShmRing) {
-  if (GetParam() != mpi::BackendKind::kShm) {
-    GTEST_SKIP() << "ring sizing only applies to the shm backend";
-  }
-#ifdef DIPDC_TSAN
-  GTEST_SKIP() << "shm backend forks; not supported under TSan";
-#endif
-  // A 4 KiB ring versus a ~1 MiB rendezvous payload: frames must stream
-  // through the ring in chunks without corruption.
-  mpi::RuntimeOptions opt = with_backend(mpi::BackendKind::kShm);
-  opt.backend.shm_ring_bytes = 4096;
-  mpi::run(
-      2,
-      [](mpi::Comm& comm) {
-        std::vector<std::uint64_t> data(128 * 1024);
-        if (comm.rank() == 0) {
-          std::iota(data.begin(), data.end(), std::uint64_t{0});
-          comm.send(std::span<const std::uint64_t>(data), 1);
-        } else {
-          comm.recv(std::span<std::uint64_t>(data), 0);
-          for (std::size_t i = 0; i < data.size(); i += 9973) {
-            ASSERT_EQ(data[i], i);
-          }
-        }
-      },
-      opt);
-}
+INSTANTIATE_TEST_SUITE_P(AllBackends, BackendFailures,
+                         ::testing::ValuesIn(all_backends()),
+                         backend_param_name);
 
-TEST_P(BackendFailures, LargeFramesStreamThroughTcp) {
-  if (GetParam() != mpi::BackendKind::kTcp) {
-    GTEST_SKIP() << "socket buffering only applies to the tcp backend";
-  }
+// ---------------------------------------------------------------------------
+// tcp alone: socket buffering and teardown cost.
+
+TEST(BackendTcp, LargeFramesStreamThroughTcp) {
   // A 32 MiB rendezvous payload is far larger than a loopback connection's
   // socket buffers, so the frame only gets through if its echo is read
   // while it is still being written.  A round trip that writes the whole
@@ -458,14 +389,8 @@ TEST_P(BackendFailures, LargeFramesStreamThroughTcp) {
       with_backend(mpi::BackendKind::kTcp));
 }
 
-INSTANTIATE_TEST_SUITE_P(AllBackends, BackendFailures,
-                         ::testing::ValuesIn(all_backends()),
-                         backend_param_name);
-
-// ---------------------------------------------------------------------------
-// Teardown cost: a tcp run's fixed overhead is opening and closing its
-// sockets, nothing that waits on a timer (50 ms per run would fail this).
-
+// A tcp run's fixed overhead is opening and closing its sockets, nothing
+// that waits on a timer (50 ms per run would fail this).
 TEST(BackendTeardown, TcpRunsHaveNoFixedTeardownCost) {
   constexpr int kRuns = 10;
   const auto start = std::chrono::steady_clock::now();
@@ -485,33 +410,28 @@ TEST(BackendTeardown, TcpRunsHaveNoFixedTeardownCost) {
 // seam, never dangle (the whole point of forcing real serialization).
 
 TEST(BackendZeroCopy, RendezvousBorrowDegradesToCopyAcrossSeam) {
-  for (const mpi::BackendKind kind :
-       {mpi::BackendKind::kShm, mpi::BackendKind::kTcp}) {
-    if (skip_under_tsan(kind)) continue;
-    SCOPED_TRACE(mpi::to_string(kind));
-    mpi::RuntimeOptions opt = with_backend(kind);
-    opt.eager_threshold = 0;  // force the rendezvous (borrow-eligible) path
-    const mpi::RunResult res = mpi::run(
-        2,
-        [](mpi::Comm& comm) {
-          std::vector<int> v(5000, comm.rank());
-          if (comm.rank() == 0) {
-            comm.send(std::span<const int>(v), 1);
-          } else {
-            comm.recv(std::span<int>(v), 0);
-            EXPECT_EQ(v[4999], 0);
-          }
-        },
-        opt);
-    // If the call site had still borrowed, Runtime::transport_envelope's
-    // guard would have thrown; additionally the sender must report the
-    // payload as copied, not zero-copied.
-    EXPECT_EQ(res.rank_stats[0].zero_copy_bytes, 0u);
-    EXPECT_GT(res.rank_stats[0].copied_bytes, 0u);
-    EXPECT_GT(res.rank_stats[0].backend_frames, 0u);
-    EXPECT_GT(res.rank_stats[0].backend_wire_bytes,
-              res.rank_stats[0].backend_frames * sizeof(mb::WireHeader));
-  }
+  mpi::RuntimeOptions opt = with_backend(mpi::BackendKind::kTcp);
+  opt.eager_threshold = 0;  // force the rendezvous (borrow-eligible) path
+  const mpi::RunResult res = mpi::run(
+      2,
+      [](mpi::Comm& comm) {
+        std::vector<int> v(5000, comm.rank());
+        if (comm.rank() == 0) {
+          comm.send(std::span<const int>(v), 1);
+        } else {
+          comm.recv(std::span<int>(v), 0);
+          EXPECT_EQ(v[4999], 0);
+        }
+      },
+      opt);
+  // If the call site had still borrowed, Runtime::transport_envelope's
+  // guard would have thrown; additionally the sender must report the
+  // payload as copied, not zero-copied.
+  EXPECT_EQ(res.rank_stats[0].zero_copy_bytes, 0u);
+  EXPECT_GT(res.rank_stats[0].copied_bytes, 0u);
+  EXPECT_GT(res.rank_stats[0].backend_frames, 0u);
+  EXPECT_GT(res.rank_stats[0].backend_wire_bytes,
+            res.rank_stats[0].backend_frames * sizeof(mb::WireHeader));
 }
 
 TEST(BackendZeroCopy, ThreadsBackendStillBorrows) {

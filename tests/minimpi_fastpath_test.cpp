@@ -8,7 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <cstring>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "minimpi/comm.hpp"
@@ -436,6 +438,44 @@ TEST(Fastpath, CountersObserveTheFastPath) {
   const std::string report = mpi::transport_report(total);
   EXPECT_NE(report.find("zero-copy"), std::string::npos);
   EXPECT_NE(report.find("allreduce/recursive-doubling"), std::string::npos);
+}
+
+TEST(Fastpath, ReportKeepsHostScheduleCountersOnItsLastLine) {
+  // Two runs of one program can split pool hits and misses differently,
+  // so the pool line must be the report's final, labelled line and every
+  // line before it must not depend on the pool counters.  Every optional
+  // section is switched on so the prefix covers all of them.
+  mpi::CommStats a;
+  a.transport_messages_sent = 12;
+  a.transport_bytes_sent = 4096;
+  a.pool_hits = 81;
+  a.pool_misses = 10;
+  a.inline_messages = 7;
+  a.zero_copy_bytes = 1024;
+  a.copied_bytes = 3072;
+  a.backend_frames = 12;
+  a.backend_wire_bytes = 4864;
+  a.fault_drops = 1;
+  a.reliable_retries = 2;
+  a.algo_uses[static_cast<std::size_t>(
+      mpi::CollectiveAlgo::kAllreduceRecursiveDoubling)] = 4;
+  mpi::CommStats b = a;
+  b.pool_hits = 80;
+  b.pool_misses = 11;
+
+  const std::string ra = mpi::transport_report(a);
+  const std::string rb = mpi::transport_report(b);
+  ASSERT_NE(ra, rb);
+  const std::size_t last = ra.rfind('\n', ra.size() - 2) + 1;
+  EXPECT_EQ(ra.substr(last, std::strlen(mpi::kHostScheduleLabel)),
+            mpi::kHostScheduleLabel)
+      << ra;
+  EXPECT_EQ(ra.find(mpi::kHostScheduleLabel), last) << "label appears once";
+  EXPECT_EQ(ra.substr(0, last), rb.substr(0, last));
+  EXPECT_NE(ra.find("81 hits, 10 misses", last), std::string::npos);
+  EXPECT_NE(ra.find("fault injection"), std::string::npos);
+  EXPECT_NE(ra.find("backend frames"), std::string::npos);
+  EXPECT_NE(ra.find("allreduce/recursive-doubling"), std::string::npos);
 }
 
 TEST(Fastpath, AutoSelectionIsSizeAndRankAware) {

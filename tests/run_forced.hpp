@@ -1,5 +1,5 @@
 // Shared backend-forcing boilerplate for tests that run the same module
-// program across transport backends (threads / shm / tcp) and compare the
+// program across transport backends (threads / tcp) and compare the
 // rank-0 results.  Used by module_determinism_test and
 // container_faults_test; add new backend-matrix suites here instead of
 // copying the helpers again.
@@ -11,35 +11,18 @@
 #include "minimpi/backend.hpp"
 #include "minimpi/runtime.hpp"
 
-// The shm backend forks a router process, which ThreadSanitizer does not
-// support; its legs are skipped under TSan (threads and tcp still run).
-#if defined(__has_feature)
-#if __has_feature(thread_sanitizer)
-#define DIPDC_TSAN 1
-#endif
-#elif defined(__SANITIZE_THREAD__)
-#define DIPDC_TSAN 1
-#endif
-
 namespace dipdc::testing {
 
 namespace mpi = dipdc::minimpi;
 
 /// Backends to compare against the default (threads) run.
 inline std::vector<mpi::BackendKind> other_backends() {
-  std::vector<mpi::BackendKind> kinds;
-#ifndef DIPDC_TSAN
-  kinds.push_back(mpi::BackendKind::kShm);
-#endif
-  kinds.push_back(mpi::BackendKind::kTcp);
-  return kinds;
+  return {mpi::BackendKind::kTcp};
 }
 
-/// All backends worth exercising on this build, default first.
+/// Every backend, default first.
 inline std::vector<mpi::BackendKind> all_backends() {
-  std::vector<mpi::BackendKind> kinds = {mpi::BackendKind::kThreads};
-  for (const mpi::BackendKind kind : other_backends()) kinds.push_back(kind);
-  return kinds;
+  return {mpi::BackendKind::kThreads, mpi::BackendKind::kTcp};
 }
 
 /// Options forcing one backend, everything else default.

@@ -24,8 +24,8 @@
 // --metrics-csv=FILE (write the registry as CSV), --faults=<spec>
 // (deterministic fault injection, e.g. "drop=0.1,dup=0.05,kill=3@40,
 // retries=4"; grammar in minimpi/faults.hpp), --fault-seed=N (seed of
-// the per-rank fault streams) and --backend=threads|shm|tcp (transport
-// backend; simulated results are bit-identical on all three).  --help
+// the per-rank fault streams) and --backend=threads|tcp (transport
+// backend; simulated results are bit-identical on both).  --help
 // prints the usage summary.
 #include <algorithm>
 #include <cstdio>
@@ -77,7 +77,7 @@ struct Common {
   bool trace_wall = false;
   std::string faults;  // --faults spec, empty = no injection
   std::uint64_t fault_seed = 1;
-  /// --backend=threads|shm|tcp: how ranks exchange bytes underneath the
+  /// --backend=threads|tcp: how ranks exchange bytes underneath the
   /// simulator (results are bit-identical either way; see DESIGN.md).
   mpi::BackendKind backend = mpi::BackendKind::kThreads;
   /// --kernel=auto|scalar|simd: compute-kernel ISA for modules 2/3/5
@@ -624,12 +624,11 @@ void usage() {
       "  --faults=SPEC        deterministic fault injection\n"
       "  --fault-seed=N       seed of the per-rank fault streams "
       "(default 1)\n"
-      "  --backend=B          transport backend: threads|shm|tcp "
+      "  --backend=B          transport backend: threads|tcp "
       "(default threads;\n"
-      "                       shm forks a router process, tcp uses loopback "
-      "sockets;\n"
-      "                       simulated results are bit-identical on all "
-      "three)\n"
+      "                       tcp uses loopback sockets; simulated results "
+      "are\n"
+      "                       bit-identical on both)\n"
       "  --repartition        modules 3/5: run on the elastic container "
       "(weight-driven\n"
       "                       rebalancing; with --faults=kill survivors "
@@ -753,7 +752,7 @@ int main(int argc, char** argv) {
   const std::string backend_name = args.get("backend", "threads");
   if (!mpi::parse_backend_kind(backend_name, &c.backend)) {
     std::fprintf(stderr,
-                 "error: unknown --backend '%s' (threads|shm|tcp)\n",
+                 "error: unknown --backend '%s' (threads|tcp)\n",
                  backend_name.c_str());
     return 2;
   }
