@@ -20,12 +20,21 @@
 //     container its new local slab and the container rebuilds the cuts from
 //     one allgather of the per-rank counts.  Weights reset to 1.
 //
-// Fault tolerance is explicit, not ambient.  checkpoint(blob) packs the
-// local slab (plus an opaque, globally replicated blob — iteration state)
-// into one wire image, keeps it, and mirrors it to the ring buddy
-// (rank+1)%p, which keeps the received image as it arrived.  After a
-// rank kill the survivors shrink the communicator (Comm::shrink()) and call
-// recover(new_comm): the survivors agree on the newest checkpoint
+// Fault tolerance is explicit, not ambient.  checkpoint(blob) snapshots the
+// local state in two segments, keeps them, and mirrors them to the ring
+// buddy (rank+1)%p:
+//
+//   * the layout, cuts | data, packed once per layout generation.  The
+//     generation bumps on every repartition that moves data, on adopt(),
+//     on recovery and on every call to the mutable local() overload (a
+//     write, as far as the container can tell).  Ring slots of the same
+//     generation share one immutable copy, and the layout goes on the wire
+//     only when the buddy does not already hold it;
+//   * the state, weights | blob (an opaque, globally replicated blob —
+//     iteration state), packed and sent on every checkpoint.
+//
+// After a rank kill the survivors shrink the communicator (Comm::shrink())
+// and call recover(new_comm): the survivors agree on the newest checkpoint
 // generation that every self ring and the dead rank's buddy ring can serve,
 // gatherv the generation's slabs to the new root (displaced at their old
 // global ranges, so the array reassembles in place), re-cut over the
@@ -34,7 +43,8 @@
 // to the source retained at the old root.  Three snapshot generations are
 // kept because checkpoint generations across ranks can skew by one when a
 // kill interrupts the buddy exchange (see docs/handbook/containers.md for
-// the bound).
+// the bound); every slot holds its own generation's layout, so each one
+// stays self-contained.
 //
 // Checkpoints must be separated by at least one collective on the same
 // communicator (any real iteration loop does this); that is what bounds the
@@ -46,6 +56,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -171,7 +182,13 @@ class Container {
   [[nodiscard]] std::size_t count() const {
     return part_.count(comm_->rank());
   }
-  [[nodiscard]] std::vector<T>& local() { return data_; }
+  /// Mutable access counts as a write: the next checkpoint re-packs and
+  /// re-sends the slab.  Read through the const overload
+  /// (std::as_const(c).local()) to keep an unchanged slab off the wire.
+  [[nodiscard]] std::vector<T>& local() {
+    ++layout_gen_;
+    return data_;
+  }
   [[nodiscard]] const std::vector<T>& local() const { return data_; }
   [[nodiscard]] const std::vector<double>& weights() const { return weights_; }
   [[nodiscard]] const ContainerStats& stats() const { return stats_; }
@@ -219,6 +236,7 @@ class Container {
     part_ = std::move(next);
     data_ = std::move(new_local);
     weights_.assign(part_.count(comm_->rank()), 1.0);
+    ++layout_gen_;
   }
 
   // ---- Checkpoint / recover -------------------------------------------------
@@ -226,22 +244,29 @@ class Container {
   /// Snapshots the local slab plus an opaque `blob` (must be identical on
   /// every rank — replicated iteration state such as the current centroids)
   /// and mirrors the snapshot to the ring buddy (rank+1)%p.  Collective in
-  /// effect: two sendrecvs around the ring.  A snapshot is kept as its
-  /// packed wire image, so the one pack below is both the self snapshot and
-  /// the send buffer, and the buddy's image is received straight into the
-  /// buffer it is kept in.
+  /// effect: a header sendrecv around the ring, then the state segment, led
+  /// by the layout segment when the buddy does not hold the current one.
+  /// The self snapshot shares its layout with the previous one when the
+  /// layout generation did not move, and the buddy's segments are received
+  /// straight into the buffers they are kept in.
   void checkpoint(std::span<const std::byte> blob) {
     minimpi::Comm::Phase ph(*comm_, "partition.checkpoint");
-    const WireHeader mine{next_generation_,
-                          static_cast<std::uint64_t>(weights_.size()),
-                          static_cast<std::uint64_t>(blob.size()),
-                          static_cast<std::uint64_t>(part_.cuts().size())};
     // The self snapshot is pushed before any communication: a rank that
     // has *entered* checkpoint(g) can always serve its own slab at g,
     // because container state cannot change between here and the rank's
     // next collective even when the ring exchange below is cut short by a
     // failure.
-    pack_into(spare_, mine, blob);
+    const Snapshot& last = self_[0];
+    spare_.layout = last.valid && last.layout->gen == layout_gen_
+                        ? last.layout
+                        : pack_layout();
+    WireHeader mine{next_generation_,
+                    static_cast<std::uint64_t>(weights_.size()),
+                    static_cast<std::uint64_t>(blob.size()),
+                    static_cast<std::uint64_t>(part_.cuts().size()),
+                    layout_gen_, 0};
+    mine.layout_follows = sent_layout_ != spare_.layout ? 1 : 0;
+    pack_state(spare_, mine, blob);
     push_ring(self_);
     ++next_generation_;
     ++stats_.checkpoints;
@@ -252,37 +277,56 @@ class Container {
     WireHeader peer{};
     comm_->sendrecv(std::span<const WireHeader>(&mine, 1), to, kWireTag,
                     std::span<WireHeader>(&peer, 1), from, kWireTag);
-    // The buddy image lands in the spare, never in a ring slot: all three
-    // buddy generations stay servable until it has fully arrived.
+    // The buddy's segments land in a fresh layout and the spare, never in
+    // a ring slot: all three buddy generations stay servable until both
+    // have fully arrived.
+    std::shared_ptr<Layout> incoming;
+    if (peer.layout_follows != 0) {
+      incoming = std::make_shared<Layout>();
+      incoming->gen = peer.layout_gen;
+      incoming->bytes.resize(layout_bytes(peer));
+    } else if (!buddy_[0].valid || buddy_[0].layout->gen != peer.layout_gen) {
+      throw minimpi::MpiError(
+          "checkpoint: the buddy skipped a layout this rank never received");
+    }
     spare_.head = peer;
-    spare_.bytes.resize(wire_bytes(peer));
-    // Payload leg as irecv + send + wait: every rank posts its receive
-    // before sending, so the ring cannot deadlock, and a snapshot that
-    // fully arrived before a failure aborted the exchange is salvaged —
-    // recovery can then still serve the sender's slab at this generation.
-    minimpi::Request pr = comm_->irecv(std::span<std::byte>(spare_.bytes),
-                                       from, kWireTag);
+    spare_.state.resize(state_bytes(peer));
+    // Payload legs as irecv + send + wait, layout first: every rank posts
+    // its receives before sending, so the ring cannot deadlock, and a
+    // snapshot that fully arrived before a failure aborted the exchange is
+    // salvaged — recovery can then still serve the sender's slab at this
+    // generation.
+    minimpi::Request lr;
+    minimpi::Request sr;
+    bool state_in = false;
     try {
-      comm_->send(std::span<const std::byte>(self_[0].bytes), to, kWireTag);
-      comm_->wait(pr);
+      if (incoming) {
+        lr = comm_->irecv(std::span<std::byte>(incoming->bytes), from,
+                          kWireTag);
+      }
+      sr = comm_->irecv(std::span<std::byte>(spare_.state), from, kWireTag);
+      if (mine.layout_follows != 0) {
+        comm_->send(std::span<const std::byte>(self_[0].layout->bytes), to,
+                    kWireTag);
+      }
+      comm_->send(std::span<const std::byte>(self_[0].state), to, kWireTag);
+      // Completed in reverse post order, here and below: a wait that
+      // fails withdraws its receive, and only a withdrawn *last* receive
+      // cannot leave a later message to land in the wrong buffer.  The
+      // layout is sent first, so once the state arrived the layout has.
+      comm_->wait(sr);
+      state_in = true;
+      if (incoming) comm_->wait(lr);
     } catch (...) {
-      // Drain or unpost the pending receive before the spare is reused;
-      // wait() either completes it or removes the posted entry when it
-      // throws.
-      bool arrived = false;
-      try {
-        comm_->wait(pr);
-        arrived = true;
-      } catch (...) {
-      }
-      if (arrived || comm_->test(pr)) {
-        spare_.valid = true;
-        push_ring(buddy_);
-      }
+      // Drain or unpost every posted receive before its buffer is freed
+      // or reused.
+      if (sr.valid() && !state_in) state_in = settle(sr);
+      const bool layout_in = lr.valid() ? settle(lr) : !incoming;
+      if (state_in && layout_in) keep_buddy(std::move(incoming));
       throw;
     }
-    spare_.valid = true;
-    push_ring(buddy_);
+    keep_buddy(std::move(incoming));
+    sent_layout_ = self_[0].layout;
   }
 
   /// Shrink-recover protocol: call on every survivor after Comm::shrink(),
@@ -367,14 +411,24 @@ class Container {
     std::uint64_t count = 0;  // elements, not T values
     std::uint64_t blob_bytes = 0;
     std::uint64_t ncuts = 0;
+    std::uint64_t layout_gen = 0;      // the sender's layout generation
+    std::uint64_t layout_follows = 0;  // 1: the layout segment is sent too
   };
 
-  /// One checkpoint generation as its wire image: `bytes` holds
-  /// cuts | data | weights | blob, packed as `head` sizes them.
+  /// One layout generation, packed as cuts | data.  Immutable once packed;
+  /// every ring slot of a generation it was current for shares it.
+  struct Layout {
+    std::uint64_t gen = 0;
+    std::vector<std::byte> bytes;
+  };
+
+  /// One checkpoint generation: its layout plus `state`, the packed
+  /// weights | blob, both sized by `head`.
   struct Snapshot {
     bool valid = false;
     WireHeader head{};
-    std::vector<std::byte> bytes;
+    std::shared_ptr<const Layout> layout;
+    std::vector<std::byte> state;
   };
 
   /// A snapshot unpacked for recovery.
@@ -487,6 +541,7 @@ class Container {
     data_ = std::move(ndata);
     weights_ = std::move(nweights);
     part_ = next;
+    ++layout_gen_;
   }
 
   /// Cuts from one allgather of per-rank element counts.
@@ -507,12 +562,32 @@ class Container {
   // ---- Snapshot ring -------------------------------------------------------
 
   /// Installs spare_ as the ring's newest generation.  The generation that
-  /// falls off becomes the spare, so its buffer is the next one packed or
-  /// received into; a still-valid slot is never overwritten.
+  /// falls off becomes the spare, so its state buffer is the next one
+  /// packed or received into; a still-valid slot is never overwritten.
   void push_ring(std::array<Snapshot, kRing>& ring) {
     std::swap(spare_, ring[kRing - 1]);
     std::rotate(ring.begin(), ring.end() - 1, ring.end());
     spare_.valid = false;
+    spare_.layout.reset();
+  }
+
+  /// Installs the received buddy snapshot; without a new layout it shares
+  /// the newest buddy layout, which the header check proved current.
+  void keep_buddy(std::shared_ptr<const Layout> incoming) {
+    spare_.layout = incoming ? std::move(incoming) : buddy_[0].layout;
+    spare_.valid = true;
+    push_ring(buddy_);
+  }
+
+  /// Completes a receive whose message arrived; otherwise the failed
+  /// wait() removes the posted entry, so its buffer can be reused.
+  bool settle(minimpi::Request& r) {
+    try {
+      comm_->wait(r);
+      return true;
+    } catch (...) {
+    }
+    return comm_->test(r);
   }
 
   const Snapshot& ring_at(const std::array<Snapshot, kRing>& ring,
@@ -525,46 +600,63 @@ class Container {
     throw minimpi::MpiError("recover: agreed generation missing from ring");
   }
 
-  std::size_t wire_bytes(const WireHeader& h) const {
+  std::size_t layout_bytes(const WireHeader& h) const {
     return static_cast<std::size_t>(h.ncuts) * sizeof(std::size_t) +
-           static_cast<std::size_t>(h.count) * stride_ * sizeof(T) +
-           static_cast<std::size_t>(h.count) * sizeof(double) +
+           static_cast<std::size_t>(h.count) * stride_ * sizeof(T);
+  }
+
+  static std::size_t state_bytes(const WireHeader& h) {
+    return static_cast<std::size_t>(h.count) * sizeof(double) +
            static_cast<std::size_t>(h.blob_bytes);
   }
 
-  /// Packs the live cuts, slab, weights and `blob` into `snap`'s buffer.
-  void pack_into(Snapshot& snap, const WireHeader& h,
-                 std::span<const std::byte> blob) const {
+  /// Packs the live cuts and slab as the current layout generation.
+  std::shared_ptr<const Layout> pack_layout() const {
+    auto layout = std::make_shared<Layout>();
+    layout->gen = layout_gen_;
+    const std::size_t cut_bytes = part_.cuts().size() * sizeof(std::size_t);
+    layout->bytes.resize(cut_bytes + data_.size() * sizeof(T));
+    std::memcpy(layout->bytes.data(), part_.cuts().data(), cut_bytes);
+    if (!data_.empty()) {
+      std::memcpy(layout->bytes.data() + cut_bytes, data_.data(),
+                  data_.size() * sizeof(T));
+    }
+    return layout;
+  }
+
+  /// Packs the live weights and `blob` into `snap`'s state buffer.
+  void pack_state(Snapshot& snap, const WireHeader& h,
+                  std::span<const std::byte> blob) const {
     snap.head = h;
-    snap.bytes.resize(wire_bytes(h));
-    std::byte* w = snap.bytes.data();
-    auto put = [&w](const void* src, std::size_t n) {
-      if (n > 0) std::memcpy(w, src, n);
-      w += n;
-    };
-    put(part_.cuts().data(), part_.cuts().size() * sizeof(std::size_t));
-    put(data_.data(), data_.size() * sizeof(T));
-    put(weights_.data(), weights_.size() * sizeof(double));
-    put(blob.data(), blob.size());
+    snap.state.resize(state_bytes(h));
+    const std::size_t weight_bytes = weights_.size() * sizeof(double);
+    if (weight_bytes > 0) {
+      std::memcpy(snap.state.data(), weights_.data(), weight_bytes);
+    }
+    if (!blob.empty()) {
+      std::memcpy(snap.state.data() + weight_bytes, blob.data(), blob.size());
+    }
     snap.valid = true;
   }
 
   Unpacked unpack(const Snapshot& snap) const {
     const WireHeader& h = snap.head;
-    DIPDC_REQUIRE(snap.bytes.size() == wire_bytes(h),
+    DIPDC_REQUIRE(snap.layout->bytes.size() == layout_bytes(h) &&
+                      snap.state.size() == state_bytes(h),
                   "checkpoint: snapshot size mismatch");
     Unpacked s;
     s.cuts.resize(static_cast<std::size_t>(h.ncuts));
     s.data.resize(static_cast<std::size_t>(h.count) * stride_);
     s.weights.resize(static_cast<std::size_t>(h.count));
     s.blob.resize(static_cast<std::size_t>(h.blob_bytes));
-    const std::byte* r = snap.bytes.data();
+    const std::byte* r = snap.layout->bytes.data();
     auto get = [&r](void* dst, std::size_t n) {
       if (n > 0) std::memcpy(dst, r, n);
       r += n;
     };
     get(s.cuts.data(), s.cuts.size() * sizeof(std::size_t));
     get(s.data.data(), s.data.size() * sizeof(T));
+    r = snap.state.data();
     get(s.weights.data(), s.weights.size() * sizeof(double));
     get(s.blob.data(), s.blob.size());
     return s;
@@ -696,12 +788,20 @@ class Container {
 
   /// Rebinds the container to the shrunken communicator and invalidates
   /// all snapshots — the ring-buddy topology changed, so pre-failure
-  /// mirrors are no longer where recovery would look for them.  Their
-  /// buffers stay for the next checkpoints to pack into.
+  /// mirrors are no longer where recovery would look for them, and the
+  /// new buddy holds none of this rank's layouts.  The state buffers stay
+  /// for the next checkpoints to pack into; the layouts are dropped, so
+  /// the next checkpoint packs and sends the restored slab.
   void finish_recovery(minimpi::Comm& nc, std::uint64_t next_gen) {
     comm_ = &nc;
-    for (Snapshot& s : self_) s.valid = false;
-    for (Snapshot& s : buddy_) s.valid = false;
+    for (auto* ring : {&self_, &buddy_}) {
+      for (Snapshot& s : *ring) {
+        s.valid = false;
+        s.layout.reset();
+      }
+    }
+    sent_layout_.reset();
+    ++layout_gen_;
     next_generation_ = next_gen;
   }
 
@@ -715,9 +815,11 @@ class Container {
   std::array<Snapshot, kRing> self_{};
   std::array<Snapshot, kRing> buddy_{};  // mirrors of (rank-1+p)%p
   Snapshot spare_;  // the buffer that fell off a ring, packed into next
+  std::shared_ptr<const Layout> sent_layout_;  // the buddy's newest copy
   std::vector<std::uint64_t> local_q_;   // repartition's quantized weights
   std::vector<std::uint64_t> global_q_;  // ... allgathered over all ranks
   std::uint64_t next_generation_ = 0;
+  std::uint64_t layout_gen_ = 0;  // bumps whenever cuts or data may change
   ContainerStats stats_;
 };
 

@@ -49,7 +49,6 @@ std::string transport_report(const CommStats& stats) {
   os << "  inline messages: " << stats.inline_messages << "\n";
   os << "  bytes zero-copy: " << stats.zero_copy_bytes
      << ", copied: " << stats.copied_bytes << "\n";
-  os << "  rendezvous stalls: " << stats.rendezvous_stalls << "\n";
   if (stats.backend_frames != 0) {
     os << "  backend frames: " << stats.backend_frames << ", wire bytes: "
        << stats.backend_wire_bytes << "\n";
@@ -74,11 +73,13 @@ std::string transport_report(const CommStats& stats) {
     os << "  " << collective_algo_name(static_cast<CollectiveAlgo>(i))
        << ": " << stats.algo_uses[i] << "\n";
   }
-  // Last, so no line above it depends on it: whether a buffer is back in
-  // the pool when the next one is acquired depends on which rank thread
-  // the host scheduled first.
+  // Last, so no line above it depends on them: whether a buffer is back
+  // in the pool when the next one is acquired, and whether a rendezvous
+  // sender got there before its receiver, depend on which rank thread the
+  // host scheduled first.
   os << kHostScheduleLabel << "payload pool " << stats.pool_hits
-     << " hits, " << stats.pool_misses << " misses\n";
+     << " hits, " << stats.pool_misses << " misses; rendezvous stalls "
+     << stats.rendezvous_stalls << "\n";
   return os.str();
 }
 

@@ -97,8 +97,9 @@ struct CommStats {
 
 /// Multi-line human-readable report of the transport fast-path counters
 /// and collective algorithm selection (zero-count rows are omitted).  The
-/// payload pool's hit/miss split depends on host thread scheduling, so it
-/// is the final line, and that line starts with kHostScheduleLabel.
+/// payload pool's hit/miss split and the rendezvous stall count depend on
+/// host thread scheduling, so they share the final line, and that line
+/// starts with kHostScheduleLabel.
 std::string transport_report(const CommStats& stats);
 inline constexpr const char* kHostScheduleLabel =
     "host schedule (varies run to run): ";

@@ -6,6 +6,7 @@
 #include <deque>
 #include <limits>
 #include <optional>
+#include <utility>
 
 #include "container/container.hpp"
 #include "kernels/distance.hpp"
@@ -401,8 +402,11 @@ Result elastic(mpi::Comm& world, const dataio::Dataset& dataset,
           counts[static_cast<std::size_t>(i)] = part.count(i);
           displs[static_cast<std::size_t>(i)] = part.begin(i);
         }
-        const double movement = lloyd.step(*comm, pts->local(), counts,
-                                           displs, data_root_on(*comm));
+        // Reads go through the const view: the points never change here,
+        // so the checkpoints below keep them off the wire.
+        const double movement =
+            lloyd.step(*comm, std::as_const(*pts).local(), counts, displs,
+                       data_root_on(*comm));
         result.iterations = static_cast<int>(iter) + 1;
 
         // Churn weights feed the next rebalance AND the checkpoint, so a
@@ -469,8 +473,9 @@ Result elastic(mpi::Comm& world, const dataio::Dataset& dataset,
 
   // Inertia: recompute the assignment against the final centroids — the
   // last stored one may predate a rebalance.
-  lloyd.assign(pts->local());
-  lloyd.finish(*comm, pts->local(), t0, transport_before, result);
+  lloyd.assign(std::as_const(*pts).local());
+  lloyd.finish(*comm, std::as_const(*pts).local(), t0, transport_before,
+               result);
   return result;
 }
 

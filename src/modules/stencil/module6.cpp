@@ -21,14 +21,20 @@ double initial_value(std::size_t i) {
 
 namespace {
 
+/// Jacobi update of cells [lo, hi) of `cur` into `nxt`.
+void relax(const std::vector<double>& cur, std::vector<double>& nxt,
+           std::size_t lo, std::size_t hi, double alpha) {
+  for (std::size_t i = lo; i < hi; ++i) {
+    nxt[i] = cur[i] + alpha * (cur[i - 1] - 2.0 * cur[i] + cur[i + 1]);
+  }
+}
+
 /// One Jacobi sweep over cells [lo, hi) of `cur` into `nxt`; cells outside
 /// the range keep their current values.
 void sweep(const std::vector<double>& cur, std::vector<double>& nxt,
            std::size_t lo, std::size_t hi, double alpha) {
   std::copy(cur.begin(), cur.end(), nxt.begin());
-  for (std::size_t i = lo; i < hi; ++i) {
-    nxt[i] = cur[i] + alpha * (cur[i - 1] - 2.0 * cur[i] + cur[i + 1]);
-  }
+  relax(cur, nxt, lo, hi, alpha);
 }
 
 void validate(const Config& config) {
@@ -148,13 +154,15 @@ Result run_distributed(mpi::Comm& comm, const Config& config) {
       }
       comm_marks += comm.wtime() - tc;
 
-      // Interior cells need no halo data.
+      // Interior cells need no halo data.  Only the owned cells are
+      // copied: the ghost cells' receives are still posted, and a ghost of
+      // `nxt` is never read before the next round's receive overwrites it
+      // (or, on an outer edge, it keeps the Dirichlet 0 it started with).
+      std::copy_n(cur.begin() + 1, len, nxt.begin() + 1);
       if (len >= 2) {
-        sweep(cur, nxt, 2, len, config.alpha);
+        relax(cur, nxt, 2, len, config.alpha);
         comm.sim_compute(4.0 * static_cast<double>(len - 2),
                          16.0 * static_cast<double>(L));
-      } else {
-        std::copy(cur.begin(), cur.end(), nxt.begin());
       }
 
       const double tw = comm.wtime();

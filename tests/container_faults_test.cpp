@@ -9,15 +9,18 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <optional>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "container/container.hpp"
 #include "dataio/dataset.hpp"
 #include "minimpi/comm.hpp"
 #include "minimpi/error.hpp"
+#include "minimpi/ops.hpp"
 #include "minimpi/runtime.hpp"
 #include "modules/kmeans/module5.hpp"
 #include "modules/sort/module3.hpp"
@@ -69,22 +72,27 @@ std::vector<double> skewed_keys(int rank, std::size_t count) {
 
 // ---- Container-level scenarios ---------------------------------------------
 
-// The driver program: a checkpointed repartition loop.  Per rank the call
-// sequence is: checkpoint (sendrecv, irecv, send, wait = calls 1-4), then
-// per round allgatherv (5) + allreduce (6) + 2 alltoallv (7-8) + checkpoint
-// (9-12), and so on.  The grid kills after the dead rank has completed a
-// full-participation collective that follows a checkpoint — the point at
-// which every rank provably finished that checkpoint, so recovery is
-// deterministic: 6 restores generation 0, 11 falls back from the
-// interrupted generation 1 to 0, 14 restores generation 1.  In every case
-// the survivors shrink and the global array is intact bit-for-bit.
+// The test program: a checkpointed repartition loop.  Every checkpoint
+// here follows a data move, so each one sends the layout too: sendrecv,
+// two irecvs, two sends, two waits.  Per rank the call sequence is:
+// checkpoint (calls 1-7), then per round allgatherv (8) + allreduce (9) +
+// 2 alltoallv (10-11) + checkpoint (12-18), and so on.  9 and 20 kill
+// after the dead rank has completed a full-participation collective that
+// follows a checkpoint — the point at which every rank provably finished
+// that checkpoint, so recovery is deterministic: 9 restores generation 0
+// and 20 generation 1.  16 dies at generation 1's state send, after its
+// layout went out, and falls back to 0.  6 (the dead rank's first wait,
+// after both of its sends), 11 (an alltoallv) and 14 (generation 1's state
+// irecv) land in between.  In every case the survivors shrink and the
+// global array is intact bit-for-bit.
 TEST(ContainerFaults, SurvivorsRecoverCheckpointedDataAfterAKill) {
   const std::size_t total = 60;
   std::vector<std::uint64_t> expected(total);
   for (std::size_t g = 0; g < total; ++g) expected[g] = element_value(g);
 
   for (const int kill_rank : {1, 2, 3}) {
-    for (const std::uint64_t at_call : {6ULL, 11ULL, 14ULL}) {
+    for (const std::uint64_t at_call :
+         {6ULL, 9ULL, 11ULL, 14ULL, 16ULL, 20ULL}) {
       bool recovered_somewhere = false;
       mpi::run(
           4,
@@ -229,15 +237,178 @@ TEST(ContainerFaults, RecoveredArrayIsIdenticalOnEveryBackend) {
   }
 }
 
+// ---- Delta checkpoints -------------------------------------------------------
+
+// A checkpoint sequence that takes every layout decision: generation 0
+// sends the layout, 1 sends only the state, 2 follows a repartition, 3
+// follows a write through the mutable local(), and 4 again sends only the
+// state.  Each generation's blob is its number, so a survivor knows which
+// generation recovery restored and can check it bit for bit.
+constexpr std::size_t kDeltaTotal = 45;
+constexpr std::size_t kDeltaStride = 2;
+
+std::uint64_t delta_value(std::size_t v, std::uint64_t gen) {
+  return element_value(v) + (gen >= 3 ? 0x5bd1e995ULL : 0);
+}
+
+double delta_weight(std::size_t g, std::uint64_t gen) {
+  // A ramp in generation 2 moves every interior cut of the repartition.
+  if (gen == 2) return 1.0 + static_cast<double>(g);
+  return 1.0 + static_cast<double>((g * 7 + gen * 3) % 11);
+}
+
+Container<std::uint64_t> delta_container(mpi::Comm& comm) {
+  const Partitioning block = Partitioning::block(kDeltaTotal, comm.size());
+  std::vector<std::uint64_t> slab(block.count(comm.rank()) * kDeltaStride);
+  for (std::size_t i = 0; i < slab.size(); ++i) {
+    slab[i] = delta_value(block.begin(comm.rank()) * kDeltaStride + i, 0);
+  }
+  return Container<std::uint64_t>::from_local(comm, kDeltaTotal,
+                                              kDeltaStride, slab);
+}
+
+void delta_checkpoint(Container<std::uint64_t>& c, std::uint64_t gen) {
+  std::vector<double> w(c.count());
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    w[i] = delta_weight(c.global_begin() + i, gen);
+  }
+  c.set_weights(w);
+  if (gen == 2) c.repartition();
+  if (gen == 3) {
+    std::vector<std::uint64_t>& slab = c.local();
+    for (std::size_t i = 0; i < slab.size(); ++i) {
+      slab[i] = delta_value(c.global_begin() * kDeltaStride + i, gen);
+    }
+  }
+  c.checkpoint(std::as_bytes(std::span<const std::uint64_t>(&gen, 1)));
+}
+
+/// The global array (or the weights, stride 1) gathered in cut order.
+template <typename T>
+std::vector<T> gather_in_order(mpi::Comm& comm, const Partitioning& part,
+                               std::span<const T> local, std::size_t stride) {
+  const int p = comm.size();
+  std::vector<std::size_t> counts(static_cast<std::size_t>(p));
+  std::vector<std::size_t> displs(static_cast<std::size_t>(p));
+  for (int r = 0; r < p; ++r) {
+    counts[static_cast<std::size_t>(r)] = part.count(r) * stride;
+    displs[static_cast<std::size_t>(r)] = part.begin(r) * stride;
+  }
+  std::vector<T> global(part.total() * stride);
+  comm.allgatherv(local, counts, displs, std::span<T>(global));
+  return global;
+}
+
+// Kills every rank at every one of its primitive calls through the
+// sequence, on every backend.  The first checkpoint is calls 1-7
+// (sendrecv, the layout and state irecvs, the two sends, the two waits),
+// so a kill there may leave no consistent generation (from_local keeps no
+// source to fall back to); every later kill must restore some generation
+// bit for bit, data and weights alike — among them kills at the state
+// send of a checkpoint whose layout was already sent.  The first
+// checkpoint after recovery must send the layout to the new buddy, and
+// the next one only the state.
+TEST(ContainerFaults, DeltaCheckpointsRecoverBitExactAtEveryKillPoint) {
+  const int p = 4;
+  constexpr std::uint64_t kFirstCheckpointCalls = 7;
+  auto program = [](mpi::Comm& comm, Container<std::uint64_t>& c) {
+    for (std::uint64_t gen = 0; gen < 5; ++gen) delta_checkpoint(c, gen);
+    (void)comm.allreduce_value(1, mpi::ops::Sum{});
+  };
+  // Every rank makes the same calls; the last one is the allreduce.
+  const auto [calls, moves] =
+      dipdc::testing::run_forced(p, {}, [&](mpi::Comm& comm) {
+        Container<std::uint64_t> c = delta_container(comm);
+        program(comm, c);
+        std::uint64_t n = 0;
+        for (const std::uint64_t k : comm.stats().calls) n += k;
+        return std::make_pair(n, c.stats().repartitions);
+      });
+  ASSERT_EQ(moves, 1u);
+
+  constexpr std::uint64_t kHeader = 6 * sizeof(std::uint64_t);
+  for (const mpi::BackendKind kind : all_backends()) {
+    for (int victim = 0; victim < p; ++victim) {
+      for (std::uint64_t at_call = 1; at_call <= calls; ++at_call) {
+        const std::string tag = label(kind, victim, at_call);
+        std::int64_t restored = -1;
+        try {
+          mpi::run(
+              p,
+              [&](mpi::Comm& comm) {
+                Container<std::uint64_t> c = delta_container(comm);
+                std::optional<mpi::Comm> shrunk;
+                std::vector<std::byte> blob;
+                try {
+                  program(comm, c);
+                } catch (const mpi::RankFailedError&) {
+                  if (comm.failed_rank() == comm.world_rank()) throw;
+                  shrunk.emplace(comm.shrink());
+                  blob = c.recover(*shrunk);
+                }
+                ASSERT_TRUE(shrunk.has_value()) << tag;
+                mpi::Comm& cur = *shrunk;
+                ASSERT_EQ(blob.size(), sizeof(std::uint64_t)) << tag;
+                std::uint64_t gen = 0;
+                std::memcpy(&gen, blob.data(), sizeof(gen));
+                ASSERT_LT(gen, 5u) << tag;
+                const std::vector<std::uint64_t> data = gather_in_order(
+                    cur, c.partitioning(),
+                    std::span<const std::uint64_t>(std::as_const(c).local()),
+                    kDeltaStride);
+                const std::vector<double> weights = gather_in_order(
+                    cur, c.partitioning(),
+                    std::span<const double>(c.weights()), 1);
+                for (std::size_t v = 0; v < data.size(); ++v) {
+                  ASSERT_EQ(data[v], delta_value(v, gen))
+                      << tag << " gen " << gen << " value " << v;
+                }
+                for (std::size_t g = 0; g < weights.size(); ++g) {
+                  ASSERT_EQ(weights[g], delta_weight(g, gen))
+                      << tag << " gen " << gen << " element " << g;
+                }
+                auto checkpoint_bytes = [&] {
+                  const std::uint64_t before =
+                      cur.stats().transport_bytes_sent;
+                  c.checkpoint({});
+                  return cur.stats().transport_bytes_sent - before;
+                };
+                const std::uint64_t state = c.count() * sizeof(double);
+                const std::uint64_t layout =
+                    (static_cast<std::uint64_t>(cur.size()) + 1) *
+                        sizeof(std::size_t) +
+                    c.count() * kDeltaStride * sizeof(std::uint64_t);
+                EXPECT_EQ(checkpoint_bytes(), kHeader + layout + state)
+                    << tag;
+                cur.barrier();
+                EXPECT_EQ(checkpoint_bytes(), kHeader + state) << tag;
+                if (cur.rank() == 0) restored = static_cast<std::int64_t>(gen);
+              },
+              kill_plan(kind, victim, at_call));
+        } catch (const mpi::RankFailedError& e) {
+          EXPECT_LE(at_call, kFirstCheckpointCalls) << tag << ": " << e.what();
+          continue;
+        }
+        EXPECT_GE(restored, 0) << tag;
+        if (at_call == calls) {
+          EXPECT_EQ(restored, 4) << tag;
+        }
+      }
+    }
+  }
+}
+
 // ---- Module 3: elastic bucket sort -----------------------------------------
 
 // Per non-root rank the call sequence is: from_counts allgather (1),
-// generation-0 checkpoint (2-5), splitter bcast (6), alltoall (7),
-// alltoallv (8), verification reduce/bcast pairs (9-20), adopt allgather
-// (21), then the rebalance collectives.  The kills land after the dead
-// rank completed a full-participation collective past the checkpoint (the
-// alltoall at 7), so generation 0 is provably ring-complete: 9 dies in
-// the verification, 14 in the boundary check, 21 at the adoption.
+// generation-0 checkpoint with its layout (2-8), splitter bcast (9),
+// alltoall (10), alltoallv (11), verification reduce/bcast pairs (12-23),
+// adopt allgather (24), then the rebalance collectives.  12, 17 and 24
+// land after the dead rank completed a full-participation collective past
+// the checkpoint (the alltoall at 10), so generation 0 is provably
+// ring-complete: 12 dies in the verification, 17 in the boundary check,
+// 24 at the adoption.  9 and 14 die in the splitter bcast and the
+// verification with the dead rank's whole checkpoint already sent.
 TEST(ContainerFaults, Module3KillGridMatchesTheNoFaultSort) {
   const std::size_t per_rank = 160;
   m3::Config cfg;
@@ -270,7 +441,8 @@ TEST(ContainerFaults, Module3KillGridMatchesTheNoFaultSort) {
 
   for (const mpi::BackendKind kind : all_backends()) {
     for (const int kill_rank : {1, 2, 3}) {
-      for (const std::uint64_t at_call : {9ULL, 14ULL, 21ULL}) {
+      for (const std::uint64_t at_call :
+           {9ULL, 12ULL, 14ULL, 17ULL, 21ULL, 24ULL}) {
         m3::Result result;
         const std::vector<double> sorted =
             run_one(kill_plan(kind, kill_rank, at_call), &result);
@@ -286,18 +458,19 @@ TEST(ContainerFaults, Module3KillGridMatchesTheNoFaultSort) {
 // ---- Module 5: elastic k-means ----------------------------------------------
 
 // Non-root rank calls: shape bcast (1), scatterv (2), centroids bcast (3),
-// generation-0 checkpoint (4-7), then per iteration two allreduces (8-9),
-// a checkpoint (10-13) and the rebalance's part-sum allgather (14; the
-// churn weights stay under the threshold, so that one collective is the
-// whole no-op rebalance).  Kill at call 3 dies inside the data
+// generation-0 checkpoint with the points' layout (4-10: sendrecv, two
+// irecvs, two sends, two waits), then per iteration two allreduces
+// (11-12), a checkpoint of the state alone (13-16: the points never move,
+// so the buddy already holds them) and the rebalance's part-sum allgather
+// (17; the churn weights stay under the threshold, so that one collective
+// is the whole no-op rebalance).  Kill at call 3 dies inside the data
 // distribution (the acceptance scenario: recovery rebuilds from the
 // root-retained source, or redistributes when a survivor was stranded
-// inside the scatter); 8 dies right after the input checkpoint (restores
-// generation 0 or falls back to the source, depending on how far the
-// survivors got — both converge to the same centroids); 15 dies in the
-// second iteration's first allreduce, past the full-participation
-// rebalance allgather, so generation 1 is provably ring-complete and is
-// restored.
+// inside the scatter); 8 dies at generation 0's state send, after its
+// layout went out (restores generation 0 or falls back to the source,
+// depending on how far the survivors got — both converge to the same
+// centroids); 15 dies at generation 1's state send and falls back to
+// generation 0.
 TEST(ContainerFaults, Module5KillGridMatchesTheNoFaultCentroids) {
   const auto d = io::generate_clusters(600, 2, 3, 0.3, 0.0, 30.0, 29);
   m5::Config cfg;

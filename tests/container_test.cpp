@@ -10,6 +10,8 @@
 #include <optional>
 #include <random>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "container/container.hpp"
@@ -51,7 +53,7 @@ std::vector<std::uint64_t> block_slab(std::size_t total, int parts, int rank) {
 
 /// Gathers the container's global array on every rank, in cut order.
 std::vector<std::uint64_t> gather_global(mpi::Comm& comm,
-                                         Container<std::uint64_t>& c) {
+                                         const Container<std::uint64_t>& c) {
   const Partitioning& part = c.partitioning();
   const int p = comm.size();
   std::vector<std::size_t> counts(static_cast<std::size_t>(p));
@@ -366,6 +368,67 @@ TEST(Container, CheckpointsAreCheapNoOpsForCorrectness) {
     c.checkpoint(std::as_bytes(std::span<const std::uint64_t>(&blob_word, 1)));
     EXPECT_EQ(c.stats().checkpoints, 2u);
   });
+}
+
+TEST(Container, CheckpointSendsTheLayoutOnlyWhenItChanged) {
+  // A checkpoint always sends its header and the state segment (weights |
+  // blob).  The layout segment (cuts | data) follows only when the buddy
+  // does not hold the current one: on the first checkpoint, after a
+  // repartition that moved data, and after any call to the mutable
+  // local().  Reads through the const view and no-op rebalances keep it
+  // off the wire.
+  constexpr std::uint64_t kHeader = 6 * sizeof(std::uint64_t);
+  const std::size_t total = 90;
+  const std::size_t stride = 3;
+  for (int p = 2; p <= 5; ++p) {
+    mpi::run(p, [&](mpi::Comm& comm) {
+      const Partitioning block = Partitioning::block(total, comm.size());
+      std::vector<std::uint64_t> slab(block.count(comm.rank()) * stride);
+      for (std::size_t i = 0; i < slab.size(); ++i) {
+        slab[i] = element_value(block.begin(comm.rank()) * stride + i);
+      }
+      Container<std::uint64_t> c =
+          Container<std::uint64_t>::from_local(comm, total, stride, slab);
+      const std::uint64_t blob_word = 0xfeedface;
+      auto checkpoint_bytes = [&] {
+        const std::uint64_t before = comm.stats().transport_bytes_sent;
+        c.checkpoint(
+            std::as_bytes(std::span<const std::uint64_t>(&blob_word, 1)));
+        return comm.stats().transport_bytes_sent - before;
+      };
+      auto state = [&] {
+        return c.count() * sizeof(double) + sizeof(blob_word);
+      };
+      auto layout = [&] {
+        return (static_cast<std::size_t>(comm.size()) + 1) *
+                   sizeof(std::size_t) +
+               c.count() * stride * sizeof(std::uint64_t);
+      };
+      const std::string at = "p=" + std::to_string(p) + " rank " +
+                             std::to_string(comm.rank());
+
+      EXPECT_EQ(checkpoint_bytes(), kHeader + layout() + state()) << at;
+      set_round_weights(c, 0);
+      EXPECT_EQ(std::as_const(c).local().size(), c.count() * stride);
+      EXPECT_EQ(checkpoint_bytes(), kHeader + state()) << at;
+      EXPECT_FALSE(c.rebalance(1e9));
+      EXPECT_EQ(checkpoint_bytes(), kHeader + state()) << at;
+
+      // A ramp moves every interior cut.
+      std::vector<double> ramp(c.count());
+      for (std::size_t i = 0; i < ramp.size(); ++i) {
+        ramp[i] = 1.0 + static_cast<double>(c.global_begin() + i);
+      }
+      c.set_weights(ramp);
+      ASSERT_TRUE(c.repartition()) << at;
+      EXPECT_EQ(checkpoint_bytes(), kHeader + layout() + state()) << at;
+      EXPECT_EQ(checkpoint_bytes(), kHeader + state()) << at;
+
+      (void)c.local();  // a write, as far as the container can tell
+      EXPECT_EQ(checkpoint_bytes(), kHeader + layout() + state()) << at;
+      EXPECT_EQ(checkpoint_bytes(), kHeader + state()) << at;
+    });
+  }
 }
 
 TEST(Container, RebalanceMatchesTheAllWeightsOracle) {

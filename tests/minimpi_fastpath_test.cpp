@@ -441,15 +441,17 @@ TEST(Fastpath, CountersObserveTheFastPath) {
 }
 
 TEST(Fastpath, ReportKeepsHostScheduleCountersOnItsLastLine) {
-  // Two runs of one program can split pool hits and misses differently,
-  // so the pool line must be the report's final, labelled line and every
-  // line before it must not depend on the pool counters.  Every optional
-  // section is switched on so the prefix covers all of them.
+  // Two runs of one program can split pool hits and misses differently
+  // and count different rendezvous stalls, so those counters must sit on
+  // the report's final, labelled line and every line before it must not
+  // depend on them.  Every optional section is switched on so the prefix
+  // covers all of them.
   mpi::CommStats a;
   a.transport_messages_sent = 12;
   a.transport_bytes_sent = 4096;
   a.pool_hits = 81;
   a.pool_misses = 10;
+  a.rendezvous_stalls = 3;
   a.inline_messages = 7;
   a.zero_copy_bytes = 1024;
   a.copied_bytes = 3072;
@@ -462,6 +464,7 @@ TEST(Fastpath, ReportKeepsHostScheduleCountersOnItsLastLine) {
   mpi::CommStats b = a;
   b.pool_hits = 80;
   b.pool_misses = 11;
+  b.rendezvous_stalls = 2;
 
   const std::string ra = mpi::transport_report(a);
   const std::string rb = mpi::transport_report(b);
@@ -473,6 +476,7 @@ TEST(Fastpath, ReportKeepsHostScheduleCountersOnItsLastLine) {
   EXPECT_EQ(ra.find(mpi::kHostScheduleLabel), last) << "label appears once";
   EXPECT_EQ(ra.substr(0, last), rb.substr(0, last));
   EXPECT_NE(ra.find("81 hits, 10 misses", last), std::string::npos);
+  EXPECT_NE(ra.find("rendezvous stalls 3", last), std::string::npos);
   EXPECT_NE(ra.find("fault injection"), std::string::npos);
   EXPECT_NE(ra.find("backend frames"), std::string::npos);
   EXPECT_NE(ra.find("allreduce/recursive-doubling"), std::string::npos);

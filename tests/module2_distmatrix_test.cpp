@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "cachesim/cache.hpp"
@@ -9,11 +10,13 @@
 #include "minimpi/ops.hpp"
 #include "minimpi/runtime.hpp"
 #include "modules/distmatrix/module2.hpp"
+#include "run_forced.hpp"
 
 namespace mpi = dipdc::minimpi;
 namespace m2 = dipdc::modules::distmatrix;
 namespace cs = dipdc::cachesim;
 namespace io = dipdc::dataio;
+using dipdc::testing::run_forced;
 
 namespace {
 
@@ -194,23 +197,15 @@ TEST(Distributed, TiledIsFasterInSimulatedTime) {
   mpi::RuntimeOptions opts;
   opts.machine.node_mem_bandwidth = 10e9;
 
-  double t_row = 0.0, t_tile = 0.0;
-  mpi::run(
-      4,
-      [&](mpi::Comm& comm) {
-        t_row = m2::run_distributed(
-                    comm, comm.rank() == 0 ? d : io::Dataset{}, rowwise)
-                    .sim_time;
-      },
-      opts);
-  mpi::run(
-      4,
-      [&](mpi::Comm& comm) {
-        t_tile = m2::run_distributed(
-                     comm, comm.rank() == 0 ? d : io::Dataset{}, tiled)
-                     .sim_time;
-      },
-      opts);
+  auto sim_time = [&](const m2::Config& cfg) {
+    return run_forced(4, opts, [&](mpi::Comm& comm) {
+      return m2::run_distributed(comm, comm.rank() == 0 ? d : io::Dataset{},
+                                 cfg)
+          .sim_time;
+    });
+  };
+  const double t_row = sim_time(rowwise);
+  const double t_tile = sim_time(tiled);
   EXPECT_LT(t_tile, t_row);
 }
 
@@ -234,13 +229,11 @@ TEST(Distributed, ComputeBoundScalesWell) {
   m2::Config cfg;
   cfg.tile = 64;
   auto time_at = [&](int p) {
-    double t = 0.0;
-    mpi::run(p, [&](mpi::Comm& comm) {
-      t = m2::run_distributed(comm, comm.rank() == 0 ? d : io::Dataset{},
-                              cfg)
-              .sim_time;
+    return run_forced(p, {}, [&](mpi::Comm& comm) {
+      return m2::run_distributed(comm, comm.rank() == 0 ? d : io::Dataset{},
+                                 cfg)
+          .sim_time;
     });
-    return t;
   };
   const double t1 = time_at(1);
   const double t8 = time_at(8);
@@ -252,11 +245,10 @@ TEST(Distributed, ComputeBoundScalesWell) {
 TEST(Symmetric, ChecksumMatchesFullComputation) {
   const auto d = io::generate_uniform(96, 12, 0.0, 1.0, 8);
   m2::Config full;
-  double expect = 0.0;
-  mpi::run(4, [&](mpi::Comm& comm) {
-    expect = m2::run_distributed(comm, comm.rank() == 0 ? d : io::Dataset{},
-                                 full)
-                 .checksum;
+  const double expect = run_forced(4, {}, [&](mpi::Comm& comm) {
+    return m2::run_distributed(comm, comm.rank() == 0 ? d : io::Dataset{},
+                               full)
+        .checksum;
   });
   for (const bool symmetric : {true}) {
     for (const auto dist :
@@ -343,13 +335,15 @@ TEST(Symmetric, CyclicFullChecksumAlsoMatches) {
   const auto d = io::generate_uniform(64, 8, 0.0, 1.0, 12);
   m2::Config full, cyclic_full;
   cyclic_full.distribution = m2::RowDistribution::kCyclic;
-  double a = 0.0, b = 0.0;
-  mpi::run(4, [&](mpi::Comm& comm) {
-    a = m2::run_distributed(comm, comm.rank() == 0 ? d : io::Dataset{}, full)
+  const auto [a, b] = run_forced(4, {}, [&](mpi::Comm& comm) {
+    const double block_sum =
+        m2::run_distributed(comm, comm.rank() == 0 ? d : io::Dataset{}, full)
             .checksum;
-    b = m2::run_distributed(comm, comm.rank() == 0 ? d : io::Dataset{},
+    const double cyclic_sum =
+        m2::run_distributed(comm, comm.rank() == 0 ? d : io::Dataset{},
                             cyclic_full)
             .checksum;
+    return std::make_pair(block_sum, cyclic_sum);
   });
   EXPECT_NEAR(a, b, 1e-9 * a);
 }
@@ -360,14 +354,14 @@ TEST(Symmetric, BlockRowsAreImbalancedCyclicRowsAreNot) {
   block.symmetric = cyclic.symmetric = true;
   block.distribution = m2::RowDistribution::kBlock;
   cyclic.distribution = m2::RowDistribution::kCyclic;
-  double imb_block = 0.0, imb_cyclic = 0.0;
-  mpi::run(8, [&](mpi::Comm& comm) {
-    imb_block = m2::run_distributed(
-                    comm, comm.rank() == 0 ? d : io::Dataset{}, block)
-                    .compute_imbalance;
-    imb_cyclic = m2::run_distributed(
-                     comm, comm.rank() == 0 ? d : io::Dataset{}, cyclic)
-                     .compute_imbalance;
+  const auto [imb_block, imb_cyclic] = run_forced(8, {}, [&](mpi::Comm& comm) {
+    const double b = m2::run_distributed(
+                         comm, comm.rank() == 0 ? d : io::Dataset{}, block)
+                         .compute_imbalance;
+    const double c = m2::run_distributed(
+                         comm, comm.rank() == 0 ? d : io::Dataset{}, cyclic)
+                         .compute_imbalance;
+    return std::make_pair(b, c);
   });
   // Rank 0's block holds the longest triangle rows: it does ~(2 - 1/p)x the
   // average work.  Cyclic interleaving is near-perfect.
@@ -380,14 +374,14 @@ TEST(Symmetric, CyclicTriangleBeatsFullMatrixInSimulatedTime) {
   m2::Config full, tri;
   tri.symmetric = true;
   tri.distribution = m2::RowDistribution::kCyclic;
-  double t_full = 0.0, t_tri = 0.0;
-  mpi::run(8, [&](mpi::Comm& comm) {
-    t_full = m2::run_distributed(comm, comm.rank() == 0 ? d : io::Dataset{},
-                                 full)
-                 .sim_time;
-    t_tri = m2::run_distributed(comm, comm.rank() == 0 ? d : io::Dataset{},
-                                tri)
-                .sim_time;
+  const auto [t_full, t_tri] = run_forced(8, {}, [&](mpi::Comm& comm) {
+    const double f = m2::run_distributed(
+                         comm, comm.rank() == 0 ? d : io::Dataset{}, full)
+                         .sim_time;
+    const double t = m2::run_distributed(
+                         comm, comm.rank() == 0 ? d : io::Dataset{}, tri)
+                         .sim_time;
+    return std::make_pair(f, t);
   });
   // Half the arithmetic, balanced: clearly faster (compute dominates here).
   EXPECT_LT(t_tri, t_full * 0.75);

@@ -10,9 +10,11 @@
 #include "minimpi/runtime.hpp"
 #include "modules/sort/module3.hpp"
 #include "support/rng.hpp"
+#include "run_forced.hpp"
 
 namespace mpi = dipdc::minimpi;
 namespace m3 = dipdc::modules::distsort;
+using dipdc::testing::run_forced;
 
 namespace {
 
@@ -183,20 +185,19 @@ TEST(Sort, HistogramCostsMoreCommunicationSetupButSimilarTotal) {
   // Sanity on the paper's claim that histogram-based performance is
   // similar to the uniform/equal-width case.
   const int p = 8;
-  double t_uniform = 0.0, t_hist = 0.0;
-  mpi::run(p, [&](mpi::Comm& comm) {
+  const double t_uniform = run_forced(p, {}, [&](mpi::Comm& comm) {
     auto local = local_uniform(comm.rank(), 20000, 0.0, 1.0);
     m3::Config cfg;
-    t_uniform = m3::distributed_bucket_sort(comm, local, cfg).sim_time;
+    return m3::distributed_bucket_sort(comm, local, cfg).sim_time;
   });
-  mpi::run(p, [&](mpi::Comm& comm) {
+  const double t_hist = run_forced(p, {}, [&](mpi::Comm& comm) {
     auto local = local_exponential(comm.rank(), 20000, 1.0);
     for (auto& v : local) v = std::min(v, 9.999);
     m3::Config cfg;
     cfg.policy = m3::SplitterPolicy::kHistogram;
     cfg.lo = 0.0;
     cfg.hi = 10.0;
-    t_hist = m3::distributed_bucket_sort(comm, local, cfg).sim_time;
+    return m3::distributed_bucket_sort(comm, local, cfg).sim_time;
   });
   EXPECT_LT(t_hist, t_uniform * 2.0);
   EXPECT_GT(t_hist, t_uniform * 0.5);
@@ -207,15 +208,13 @@ TEST(Sort, MemoryBoundScalingIsBelowModule2) {
   // parallel efficiency than the compute-bound distance matrix.  Here we
   // just check that sort speedup at 8 ranks is clearly sublinear.
   auto time_at = [&](int p) {
-    double t = 0.0;
-    mpi::run(p, [&](mpi::Comm& comm) {
+    return run_forced(p, {}, [&](mpi::Comm& comm) {
       // Fixed global size: strong scaling.
       const std::size_t local_n = 160000 / static_cast<std::size_t>(p);
       auto local = local_uniform(comm.rank(), local_n, 0.0, 1.0);
       m3::Config cfg;
-      t = m3::distributed_bucket_sort(comm, local, cfg).sim_time;
+      return m3::distributed_bucket_sort(comm, local, cfg).sim_time;
     });
-    return t;
   };
   const double speedup8 = time_at(1) / time_at(8);
   EXPECT_GT(speedup8, 1.0);

@@ -2,15 +2,18 @@
 // scaling characters, and the node-placement lesson.
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "minimpi/runtime.hpp"
 #include "modules/rangequery/module4.hpp"
 #include "support/rng.hpp"
+#include "run_forced.hpp"
 
 namespace mpi = dipdc::minimpi;
 namespace m4 = dipdc::modules::rangequery;
 namespace sp = dipdc::spatial;
+using dipdc::testing::run_forced;
 
 namespace {
 
@@ -93,10 +96,10 @@ TEST(Efficiency, RTreeIsAbsolutelyFasterInSimulatedTime) {
   const auto queries = m4::make_query_workload(100, 100.0, 2.0, 29);
   m4::Config brute, rtree;
   rtree.engine = m4::Engine::kRTree;
-  double t_brute = 0.0, t_rtree = 0.0;
-  mpi::run(4, [&](mpi::Comm& comm) {
-    t_brute = m4::run_distributed(comm, points, queries, brute).sim_time;
-    t_rtree = m4::run_distributed(comm, points, queries, rtree).sim_time;
+  const auto [t_brute, t_rtree] = run_forced(4, {}, [&](mpi::Comm& comm) {
+    const double b = m4::run_distributed(comm, points, queries, brute).sim_time;
+    const double r = m4::run_distributed(comm, points, queries, rtree).sim_time;
+    return std::make_pair(b, r);
   });
   EXPECT_LT(t_rtree * 2, t_brute);
 }
@@ -111,16 +114,11 @@ double engine_time(int p, m4::Engine engine,
   cfg.engine = engine;
   mpi::RuntimeOptions opts;
   opts.machine = machine;
-  double t = 0.0;
-  mpi::run(
-      p,
-      [&](mpi::Comm& comm) {
-        // Measure the query phase only: the index build is a fixed cost
-        // shared by all rank counts (it is replicated, not partitioned).
-        t = m4::run_distributed(comm, points, queries, cfg).sim_time;
-      },
-      opts);
-  return t;
+  return run_forced(p, opts, [&](mpi::Comm& comm) {
+    // Measure the query phase only: the index build is a fixed cost
+    // shared by all rank counts (it is replicated, not partitioned).
+    return m4::run_distributed(comm, points, queries, cfg).sim_time;
+  });
 }
 
 }  // namespace

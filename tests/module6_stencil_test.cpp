@@ -7,9 +7,11 @@
 
 #include "minimpi/runtime.hpp"
 #include "modules/stencil/module6.hpp"
+#include "run_forced.hpp"
 
 namespace mpi = dipdc::minimpi;
 namespace m6 = dipdc::modules::stencil;
+using dipdc::testing::run_forced;
 
 namespace {
 
@@ -108,19 +110,13 @@ TEST(Stencil, OverlapHidesCommunication) {
   opts.machine = dipdc::perfmodel::MachineConfig::monsoon_like(4);
   opts.machine.inter_latency = 2e-5;  // a slow interconnect
 
-  double t_blocking = 0.0, t_overlapped = 0.0;
-  mpi::run(
-      8,
-      [&](mpi::Comm& comm) {
-        t_blocking = m6::run_distributed(comm, blocking).sim_time;
-      },
-      opts);
-  mpi::run(
-      8,
-      [&](mpi::Comm& comm) {
-        t_overlapped = m6::run_distributed(comm, overlapped).sim_time;
-      },
-      opts);
+  auto sim_time = [&](const m6::Config& cfg) {
+    return run_forced(8, opts, [&](mpi::Comm& comm) {
+      return m6::run_distributed(comm, cfg).sim_time;
+    });
+  };
+  const double t_blocking = sim_time(blocking);
+  const double t_overlapped = sim_time(overlapped);
   EXPECT_LT(t_overlapped, t_blocking);
 }
 
