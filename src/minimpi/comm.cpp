@@ -329,7 +329,7 @@ void Comm::send_bytes(std::span<const std::byte> data, int dest, int tag,
     // touch it after we unwind: drop it from the mailbox if still
     // queued, or wait out a receiver's in-flight copy.
     if (!runtime_->mailbox(env->dest).unexpected.remove(env.get())) {
-      while (!env->matched) runtime_->condvar().wait(lock);
+      while (!env->matched) runtime_->rank_cv(world_rank_).wait(lock);
     }
     throw;
   }
@@ -397,7 +397,7 @@ bool Comm::complete_recv(std::unique_lock<std::mutex>& lock,
     // sender writes into it.  True when the message did arrive.
     auto settle = [&] {
       if (req->copy_in_flight) {
-        while (!req->done) runtime_->condvar().wait(lock);
+        while (!req->done) runtime_->rank_cv(world_rank_).wait(lock);
       } else if (!req->done) {
         std::erase(runtime_->mailbox(world_rank_).posted, req);
       }

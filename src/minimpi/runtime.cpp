@@ -58,6 +58,8 @@ Runtime::Runtime(int nranks, RuntimeOptions options)
           std::make_shared<detail::EnvelopePool>(options_.transport.pooling)),
       mailboxes_(static_cast<std::size_t>(nranks)),
       rank_states_(static_cast<std::size_t>(nranks)),
+      rank_cvs_(std::make_unique<std::condition_variable[]>(
+          static_cast<std::size_t>(nranks))),
       life_(static_cast<std::size_t>(nranks), RankLife::kRunning) {
   DIPDC_REQUIRE(nranks > 0, "world size must be positive");
   if (options_.record_trace) {
@@ -119,7 +121,8 @@ void Runtime::deliver(std::unique_lock<std::mutex>& lock,
     return;
   }
   mb.unexpected.push(env);
-  cv_.notify_all();
+  // Probe, wait_any and collective ingests wait on the destination's queue.
+  wake(env->dest);
 }
 
 void Runtime::match(std::unique_lock<std::mutex>& lock, detail::Envelope& env,
@@ -162,7 +165,9 @@ void Runtime::match(std::unique_lock<std::mutex>& lock, detail::Envelope& env,
   }
   env.matched = true;
   req.done = true;
-  cv_.notify_all();
+  wake(env.dest);
+  // Only a rendezvous sender waits on env.matched; an eager one has moved on.
+  if (env.rendezvous && env.src_world != env.dest) wake(env.src_world);
 }
 
 void Runtime::blocking_wait(std::unique_lock<std::mutex>& lock, int rank,
@@ -185,59 +190,52 @@ Runtime::WaitOutcome Runtime::blocking_wait_for(
     ~Guard() { std::erase(waiters, self); }
   } guard{waiters_, &waiter};
 
-  while (!pred()) {
+  for (bool woken = false; !pred(); woken = true) {
     if (aborted_) {
       if (deadlocked_) throw DeadlockError(abort_reason_);
       if (failed_rank_ >= 0) throw RankFailedError(abort_reason_);
       throw AbortError(abort_reason_);
     }
     if (waiter.timed_out) return WaitOutcome::kTimedOut;
+    if (woken) ++rank_state(rank).stats.futile_wakeups;
     if (options_.detect_deadlock &&
         static_cast<int>(waiters_.size()) >= alive_) {
       // Throws DeadlockError if no waiter can make progress and none can
-      // time out; otherwise it has notified the runnable (or expiring)
-      // waiter(s) and we sleep until notified again.
+      // time out; otherwise it has woken the runnable (or expiring)
+      // waiter(s) and we sleep until woken again.
       check_deadlock_locked();
-      // The check may have expired OUR OWN wait.  Its notify_all cannot
-      // wake this thread (we are not in cv_.wait yet), so falling through
-      // to the wait would sleep forever when no other live rank remains to
-      // re-notify — re-check the flag instead of relying on a wakeup.
+      // The check may have expired OUR OWN wait.  Its wake cannot reach
+      // this thread (we are not sleeping yet), so falling through to the
+      // wait would sleep forever when no other live rank remains to wake
+      // us — re-check the flag instead of relying on a wakeup.
       if (waiter.timed_out) return WaitOutcome::kTimedOut;
     }
-    cv_.wait(lock);
+    rank_cv(rank).wait(lock);
   }
   return WaitOutcome::kReady;
 }
 
 void Runtime::check_deadlock_locked() {
-  for (Waiter* w : waiters_) {
-    if ((*w->pred)()) {
-      // Someone can make progress; wake everyone so they notice.
-      cv_.notify_all();
-      return;
+  // Wakes the waiters that `select` picks; true when there was one.
+  const auto wake_if = [this](auto select) {
+    bool any = false;
+    for (Waiter* w : waiters_) {
+      if (select(*w)) {
+        wake(w->rank);
+        any = true;
+      }
     }
-  }
+    return any;
+  };
+  // Someone can make progress; wake exactly those who can.
+  if (wake_if([](const Waiter& w) { return (*w.pred)(); })) return;
   // A flagged-but-unconsumed timeout is progress: its waiter will wake,
   // withdraw its operation, and retry — so the world is not stuck yet.
-  for (Waiter* w : waiters_) {
-    if (w->timed_out) {
-      cv_.notify_all();
-      return;
-    }
-  }
+  if (wake_if([](const Waiter& w) { return w.timed_out; })) return;
   // Nothing can complete: expire every timeout-capable wait (reliable
   // acknowledgement waits) before concluding the world is dead.
-  bool expired_any = false;
-  for (Waiter* w : waiters_) {
-    if (w->can_timeout) {
-      w->timed_out = true;
-      expired_any = true;
-    }
-  }
-  if (expired_any) {
-    cv_.notify_all();
-    return;
-  }
+  for (Waiter* w : waiters_) w->timed_out = w->can_timeout;
+  if (wake_if([](const Waiter& w) { return w.timed_out; })) return;
   std::ostringstream os;
   os << "global deadlock: every live rank is blocked and no pending "
         "operation can complete.";
@@ -254,7 +252,7 @@ void Runtime::check_deadlock_locked() {
   deadlocked_ = true;
   aborted_ = true;
   abort_reason_ = os.str();
-  cv_.notify_all();
+  wake_all();
   throw DeadlockError(abort_reason_);
 }
 
@@ -278,7 +276,7 @@ void Runtime::rank_exited(int rank, bool by_exception, const std::string& why) {
     if (shrink_acks_ > 0) shrink_poisoned_ = true;
   }
   maybe_finalize_shrink_locked();
-  cv_.notify_all();
+  wake_all();
 }
 
 void Runtime::note_rank_killed(int rank, const std::string& why) {
@@ -290,7 +288,7 @@ void Runtime::note_rank_killed(int rank, const std::string& why) {
     abort_from_kill_ = true;
     abort_reason_ = why;
   }
-  cv_.notify_all();
+  wake_all();
 }
 
 Runtime::ShrinkResult Runtime::failure_shrink(int world_rank) {
@@ -308,13 +306,13 @@ Runtime::ShrinkResult Runtime::failure_shrink(int world_rank) {
   const int my_gen = shrink_generation_;
   ++shrink_acks_;
   maybe_finalize_shrink_locked();
-  // Survivors park on the raw condition variable, NOT blocking_wait_for:
+  // Survivors park on their raw condition variable, NOT blocking_wait_for:
   // the global abort flag is still raised (that is the point), and a
   // parked survivor must not count as a deadlock-detection waiter.
   while (shrink_generation_ == my_gen) {
     if (deadlocked_) throw DeadlockError(abort_reason_);
     if (shrink_poisoned_) throw AbortError(abort_reason_);
-    cv_.wait(lock);
+    rank_cv(world_rank).wait(lock);
   }
   return shrink_last_;
 }
@@ -353,7 +351,11 @@ void Runtime::maybe_finalize_shrink_locked() {
   recovered_ = true;
   shrink_acks_ = 0;
   ++shrink_generation_;
-  cv_.notify_all();
+  wake_all();
+}
+
+void Runtime::wake_all() {
+  for (int r = 0; r < nranks_; ++r) wake(r);
 }
 
 }  // namespace detail_runtime

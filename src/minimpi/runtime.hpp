@@ -13,6 +13,14 @@
 // the caller.  If the runtime proves a global deadlock (every live rank
 // blocked, no operation able to complete), every blocked rank receives a
 // DeadlockError naming the stuck operations.
+//
+// Waking: one mutex guards all shared state, but every rank thread sleeps
+// on its own condition variable, and each event wakes only the ranks whose
+// wait it can end — a message queued unexpected wakes its destination, a
+// match wakes the receiver and the rendezvous sender, and the deadlock
+// check wakes the waiters that can run or time out.  Only world-wide
+// events (a deadlock, an abort, a kill, a rank exit, a closed shrink
+// barrier) wake every rank.
 #pragma once
 
 #include <atomic>
@@ -101,9 +109,10 @@ class Runtime {
   /// receiver finding the message already queued (Comm::post_recv).  Fills
   /// the request's status, charges ingress at its post time, checks
   /// truncation, adopts or copies the payload, then marks both sides done
-  /// and notifies.  `env` must already be off the unexpected queue and
-  /// `req` off the posted list.  Lock must be held; it is released around
-  /// large payload copies (memcpys stay outside the global lock).
+  /// and wakes the receiver and the sender.  `env` must already be off the
+  /// unexpected queue and `req` off the posted list.  Lock must be held; it
+  /// is released around large payload copies (memcpys stay outside the
+  /// global lock).
   void match(std::unique_lock<std::mutex>& lock, detail::Envelope& env,
              detail::RequestState& req);
 
@@ -164,7 +173,11 @@ class Runtime {
   [[nodiscard]] bool recovered() const { return recovered_; }
 
   std::mutex& mutex() { return mu_; }
-  std::condition_variable& condvar() { return cv_; }
+  /// The condition variable `world_rank`'s thread sleeps on, with the
+  /// runtime lock.  Each rank has exactly one thread, so one waiter each.
+  std::condition_variable& rank_cv(int world_rank) {
+    return rank_cvs_[static_cast<std::size_t>(world_rank)];
+  }
   detail::Mailbox& mailbox(int rank) {
     return mailboxes_[static_cast<std::size_t>(rank)];
   }
@@ -213,8 +226,10 @@ class Runtime {
   /// shrinks the running set the barrier is waiting on).  Lock held.
   void maybe_finalize_shrink_locked();
 
+  void wake(int world_rank) { rank_cv(world_rank).notify_one(); }
+  void wake_all();
+
   std::mutex mu_;
-  std::condition_variable cv_;
   RuntimeOptions options_;
   perfmodel::CostModel cost_;
   int nranks_;
@@ -225,6 +240,7 @@ class Runtime {
   std::shared_ptr<detail::EnvelopePool> envelope_pool_;
   std::vector<detail::Mailbox> mailboxes_;
   std::vector<detail::RankState> rank_states_;
+  std::unique_ptr<std::condition_variable[]> rank_cvs_;
   std::unique_ptr<detail_backend::Backend> backend_;
   bool backend_shares_ = true;
   std::unique_ptr<obs::Recorder> recorder_;  // non-null iff record_trace

@@ -25,6 +25,7 @@ CommStats& CommStats::operator+=(const CommStats& other) {
   zero_copy_bytes += other.zero_copy_bytes;
   copied_bytes += other.copied_bytes;
   rendezvous_stalls += other.rendezvous_stalls;
+  futile_wakeups += other.futile_wakeups;
   backend_frames += other.backend_frames;
   backend_wire_bytes += other.backend_wire_bytes;
   fault_drops += other.fault_drops;
@@ -74,12 +75,13 @@ std::string transport_report(const CommStats& stats) {
        << ": " << stats.algo_uses[i] << "\n";
   }
   // Last, so no line above it depends on them: whether a buffer is back
-  // in the pool when the next one is acquired, and whether a rendezvous
-  // sender got there before its receiver, depend on which rank thread the
-  // host scheduled first.
-  os << kHostScheduleLabel << "payload pool " << stats.pool_hits
+  // in the pool when the next one is acquired, whether a rendezvous
+  // sender got there before its receiver, and how often a blocked rank
+  // woke too early depend on which rank thread the host scheduled first.
+  os << kHostScheduleLabel << " payload pool " << stats.pool_hits
      << " hits, " << stats.pool_misses << " misses; rendezvous stalls "
-     << stats.rendezvous_stalls << "\n";
+     << stats.rendezvous_stalls << "; futile wake-ups "
+     << stats.futile_wakeups << "\n";
   return os.str();
 }
 
@@ -96,12 +98,15 @@ void register_comm_stats(obs::Registry& reg, const CommStats& stats) {
   reg.set_counter("p2p.messages_received", stats.p2p_messages_received);
   reg.set_counter("transport.bytes_sent", stats.transport_bytes_sent);
   reg.set_counter("transport.messages_sent", stats.transport_messages_sent);
-  reg.set_counter("pool.hits", stats.pool_hits);
-  reg.set_counter("pool.misses", stats.pool_misses);
+  constexpr obs::Clock kHost = obs::Clock::kHostSchedule;
+  reg.set_counter("pool.hits", stats.pool_hits, kHost);
+  reg.set_counter("pool.misses", stats.pool_misses, kHost);
   reg.set_counter("transport.inline_messages", stats.inline_messages);
   reg.set_counter("transport.zero_copy_bytes", stats.zero_copy_bytes);
   reg.set_counter("transport.copied_bytes", stats.copied_bytes);
-  reg.set_counter("transport.rendezvous_stalls", stats.rendezvous_stalls);
+  reg.set_counter("transport.rendezvous_stalls", stats.rendezvous_stalls,
+                  kHost);
+  reg.set_counter("transport.futile_wakeups", stats.futile_wakeups, kHost);
   if (stats.backend_frames != 0) {
     reg.set_counter("transport.backend_frames", stats.backend_frames);
     reg.set_counter("transport.backend_wire_bytes", stats.backend_wire_bytes);

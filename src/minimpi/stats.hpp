@@ -49,6 +49,9 @@ struct CommStats {
   /// Rendezvous sends that actually blocked waiting for the receiver (as
   /// opposed to matching an already-posted receive immediately).
   std::uint64_t rendezvous_stalls = 0;
+  /// Wake-ups of a blocked wait that found its operation still unable to
+  /// complete (and no abort or timeout pending), so the rank slept again.
+  std::uint64_t futile_wakeups = 0;
 
   /// Envelopes serialized through a non-shared-memory transport backend
   /// (tcp), and the wire bytes those frames carried (header included).
@@ -97,16 +100,17 @@ struct CommStats {
 
 /// Multi-line human-readable report of the transport fast-path counters
 /// and collective algorithm selection (zero-count rows are omitted).  The
-/// payload pool's hit/miss split and the rendezvous stall count depend on
-/// host thread scheduling, so they share the final line, and that line
-/// starts with kHostScheduleLabel.
+/// payload pool's hit/miss split, the rendezvous stall count and the futile
+/// wake-up count depend on host thread scheduling, so they share the final
+/// line, and that line starts with kHostScheduleLabel.
 std::string transport_report(const CommStats& stats);
-inline constexpr const char* kHostScheduleLabel =
-    "host schedule (varies run to run): ";
+using obs::kHostScheduleLabel;
 
 /// Registers the nonzero CommStats counters into `reg` under stable dotted
 /// names: calls.<primitive>, p2p.*, transport.*, pool.*, fault.*,
-/// reliable.*, algo.<name>, and the time.compute/comm/idle gauges.
+/// reliable.*, algo.<name>, and the time.compute/comm/idle gauges.  The
+/// pool.*, transport.rendezvous_stalls and transport.futile_wakeups
+/// counters are registered as host-schedule entries.
 void register_comm_stats(obs::Registry& reg, const CommStats& stats);
 
 /// One registry for a whole run: the summed CommStats of every rank, the

@@ -80,8 +80,11 @@ const Registry::Entry* Registry::find(std::string_view name,
   return nullptr;
 }
 
-void Registry::set_counter(std::string_view name, std::uint64_t value) {
-  entry(name, Type::kCounter).value_u64 = value;
+void Registry::set_counter(std::string_view name, std::uint64_t value,
+                           Clock clock) {
+  Entry& e = entry(name, Type::kCounter);
+  e.value_u64 = value;
+  e.clock = clock;
 }
 
 void Registry::add_counter(std::string_view name, std::uint64_t delta) {
@@ -120,31 +123,42 @@ std::string Registry::report() const {
     name_width = std::max(name_width, e.name.size());
   }
   std::ostringstream os;
-  for (const Entry& e : entries_) {
-    os << "  " << e.name
-       << std::string(name_width - e.name.size() + 2, ' ');
-    switch (e.type) {
-      case Type::kCounter:
-        os << support::count(e.value_u64);
-        break;
-      case Type::kGauge:
-        os << support::fixed(e.value_f64, 6);
-        if (!e.unit.empty()) os << " " << e.unit;
-        break;
-      case Type::kHistogram:
-        os << "n=" << e.hist.count << " mean=" << support::fixed(e.hist.mean())
-           << " min=" << support::fixed(e.hist.min)
-           << " max=" << support::fixed(e.hist.max);
-        break;
+  const auto print = [&](Clock clock) {
+    for (const Entry& e : entries_) {
+      if (e.clock != clock) continue;
+      os << "  " << e.name
+         << std::string(name_width - e.name.size() + 2, ' ');
+      switch (e.type) {
+        case Type::kCounter:
+          os << support::count(e.value_u64);
+          break;
+        case Type::kGauge:
+          os << support::fixed(e.value_f64, 6);
+          if (!e.unit.empty()) os << " " << e.unit;
+          break;
+        case Type::kHistogram:
+          os << "n=" << e.hist.count
+             << " mean=" << support::fixed(e.hist.mean())
+             << " min=" << support::fixed(e.hist.min)
+             << " max=" << support::fixed(e.hist.max);
+          break;
+      }
+      os << "\n";
     }
-    os << "\n";
+  };
+  print(Clock::kDeterministic);
+  if (std::ranges::any_of(entries_, [](const Entry& e) {
+        return e.clock == Clock::kHostSchedule;
+      })) {
+    os << kHostScheduleLabel << "\n";
+    print(Clock::kHostSchedule);
   }
   return os.str();
 }
 
 std::string Registry::to_csv() const {
   std::ostringstream os;
-  os << "name,type,value,count,sum,min,max\n";
+  os << "name,type,value,count,sum,min,max,clock\n";
   for (const Entry& e : entries_) {
     os << e.name << ",";
     switch (e.type) {
@@ -161,7 +175,8 @@ std::string Registry::to_csv() const {
            << support::fixed(e.hist.max, 9);
         break;
     }
-    os << "\n";
+    os << (e.clock == Clock::kHostSchedule ? ",host-schedule\n"
+                                           : ",deterministic\n");
   }
   return os.str();
 }

@@ -6,6 +6,13 @@
 //
 // Entries keep insertion order (reports are meant to be read top-to-bottom
 // and diffed), and re-registering a name updates the existing entry.
+//
+// Every entry has a clock class.  A deterministic entry is the same on
+// every run of one program; a host-schedule entry depends on which rank
+// thread the host scheduled first (payload pool reuse, rendezvous stalls,
+// wake-ups).  report() prints the host-schedule entries last, after one
+// line starting with kHostScheduleLabel, so everything above that line can
+// be compared byte for byte across runs.
 #pragma once
 
 #include <array>
@@ -15,6 +22,14 @@
 #include <vector>
 
 namespace dipdc::obs {
+
+/// Starts the line after which a report lists only values that vary from
+/// run to run with host thread scheduling.
+inline constexpr const char* kHostScheduleLabel =
+    "host schedule (varies run to run):";
+
+/// Clock class of a registry entry (see the file comment).
+enum class Clock : std::uint8_t { kDeterministic, kHostSchedule };
 
 /// Power-of-two bucketed distribution.  Bucket 0 holds values < 1 (and
 /// everything non-positive); bucket i >= 1 holds [2^(i-1), 2^i).
@@ -45,8 +60,9 @@ struct Histogram {
 
 class Registry {
  public:
-  /// Sets (creating if needed) an integer counter.
-  void set_counter(std::string_view name, std::uint64_t value);
+  /// Sets (creating if needed) an integer counter of the given class.
+  void set_counter(std::string_view name, std::uint64_t value,
+                   Clock clock = Clock::kDeterministic);
   /// Adds to an integer counter, creating it at zero first.
   void add_counter(std::string_view name, std::uint64_t delta);
   /// Sets (creating if needed) a floating-point gauge; `unit` is a display
@@ -66,11 +82,14 @@ class Registry {
   [[nodiscard]] std::size_t size() const { return entries_.size(); }
   [[nodiscard]] bool empty() const { return entries_.empty(); }
 
-  /// Aligned human-readable report, one entry per line, insertion order.
+  /// Aligned human-readable report, one entry per line, insertion order
+  /// within each class: deterministic entries, then (if any) the
+  /// kHostScheduleLabel line and the host-schedule entries.
   [[nodiscard]] std::string report() const;
 
-  /// CSV dump: `name,type,value,count,sum,min,max` (value is the counter or
-  /// gauge; histogram rows fill the statistical columns instead).
+  /// CSV dump: `name,type,value,count,sum,min,max,clock` in insertion order
+  /// (value is the counter or gauge; histogram rows fill the statistical
+  /// columns instead; clock is `deterministic` or `host-schedule`).
   [[nodiscard]] std::string to_csv() const;
 
  private:
@@ -83,6 +102,7 @@ class Registry {
     double value_f64 = 0.0;
     std::string unit;
     Histogram hist;
+    Clock clock = Clock::kDeterministic;
   };
 
   Entry& entry(std::string_view name, Type type);

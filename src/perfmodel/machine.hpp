@@ -2,12 +2,13 @@
 //
 // The paper evaluates its modules on NAU's "Monsoon" cluster (multi-core
 // nodes, shared memory bandwidth within a node, an interconnect between
-// nodes).  This environment has a single host core and no cluster, so all
-// scaling results in this repository are produced in *simulated time*: each
-// rank of the minimpi runtime carries a SimClock, compute kernels advance it
-// through a roofline-style cost model, and messages advance it through a
-// Hockney (latency + bytes/bandwidth) model with distinct intra-node and
-// inter-node parameters.
+// nodes).  This repository runs on one host, not a cluster: host-clock
+// speedup is only measurable up to the host's core count (nproc), and
+// multi-node effects not at all.  So the paper's scaling shapes are
+// produced in *simulated time*: each rank of the minimpi runtime carries a
+// SimClock, compute kernels advance it through a roofline-style cost model,
+// and messages advance it through a Hockney (latency + bytes/bandwidth)
+// model with distinct intra-node and inter-node parameters.
 //
 // The model intentionally captures exactly the mechanisms the paper's
 // experiments rely on:

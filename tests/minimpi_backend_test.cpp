@@ -365,6 +365,54 @@ INSTANTIATE_TEST_SUITE_P(AllBackends, BackendFailures,
                          backend_param_name);
 
 // ---------------------------------------------------------------------------
+// A message wakes only the ranks it can unblock, on every backend.
+
+class BackendWakeups : public ::testing::TestWithParam<mpi::BackendKind> {};
+
+TEST_P(BackendWakeups, IdleRanksSleepThroughOtherRanksTraffic) {
+  // Ranks 2..7 block in a receive from rank 0 while ranks 0 and 1
+  // ping-pong 2000 small messages.  None of those messages can end an idle
+  // rank's wait, so an idle rank wakes only for world-wide events (a rank
+  // exiting) and for its own release.  Waking every blocked rank on every
+  // message would cost each idle rank about one futile wake-up per message.
+  constexpr int kRanks = 8;
+  constexpr int kRoundTrips = 1000;
+  const mpi::RunResult res = mpi::run(
+      kRanks,
+      [](mpi::Comm& comm) {
+        int v = 0;
+        if (comm.rank() >= 2) {
+          comm.recv(std::span<int>(&v, 1), 0);
+          return;
+        }
+        const int peer = 1 - comm.rank();
+        for (int i = 0; i < kRoundTrips; ++i) {
+          if (comm.rank() == 0) {
+            comm.send(std::span<const int>(&i, 1), peer);
+            comm.recv(std::span<int>(&v, 1), peer);
+          } else {
+            comm.recv(std::span<int>(&v, 1), peer);
+            comm.send(std::span<const int>(&v, 1), peer);
+          }
+        }
+        if (comm.rank() == 0) {
+          for (int r = 2; r < kRanks; ++r) {
+            comm.send(std::span<const int>(&v, 1), r);
+          }
+        }
+      },
+      with_backend(GetParam()));
+  for (int r = 2; r < kRanks; ++r) {
+    EXPECT_LE(res.rank_stats[static_cast<std::size_t>(r)].futile_wakeups, 8u)
+        << "rank " << r;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllBackends, BackendWakeups,
+                         ::testing::ValuesIn(all_backends()),
+                         backend_param_name);
+
+// ---------------------------------------------------------------------------
 // tcp alone: socket buffering and teardown cost.
 
 TEST(BackendTcp, LargeFramesStreamThroughTcp) {

@@ -73,11 +73,42 @@ TEST(Registry, CsvHasHeaderAndOneRowPerEntry) {
   reg.set_counter("c", 9);
   reg.set_gauge("g", 0.25);
   reg.observe("h", 100.0);
+  reg.set_counter("w", 4, obs::Clock::kHostSchedule);
   const std::string csv = reg.to_csv();
-  EXPECT_EQ(csv.rfind("name,type,value,count,sum,min,max\n", 0), 0u);
-  EXPECT_NE(csv.find("c,counter,9"), std::string::npos);
+  EXPECT_EQ(csv.rfind("name,type,value,count,sum,min,max,clock\n", 0), 0u);
+  EXPECT_NE(csv.find("c,counter,9,,,,,deterministic\n"), std::string::npos);
   EXPECT_NE(csv.find("g,gauge,"), std::string::npos);
   EXPECT_NE(csv.find("h,histogram,"), std::string::npos);
+  EXPECT_NE(csv.find("w,counter,4,,,,,host-schedule\n"), std::string::npos);
+}
+
+TEST(Registry, HostScheduleEntriesFollowTheLabel) {
+  // Two runs of one program may differ only in host-schedule counters;
+  // their reports must agree byte for byte up to the label line, which
+  // appears once, after every deterministic entry.
+  const auto make = [](std::uint64_t hits) {
+    obs::Registry reg;
+    reg.set_counter("calls.send", 12);
+    reg.set_counter("pool.hits", hits, obs::Clock::kHostSchedule);
+    reg.set_gauge("time.comm", 0.5, "s");
+    reg.observe("msg.bytes", 64.0);
+    return reg.report();
+  };
+  const std::string a = make(81);
+  const std::string b = make(80);
+  ASSERT_NE(a, b);
+  const std::size_t label = a.find(obs::kHostScheduleLabel);
+  ASSERT_NE(label, std::string::npos) << a;
+  EXPECT_EQ(a.rfind(obs::kHostScheduleLabel), label) << "label appears once";
+  EXPECT_EQ(a.substr(0, label), b.substr(0, label));
+  EXPECT_LT(a.find("time.comm"), label);
+  EXPECT_LT(a.find("msg.bytes"), label);
+  EXPECT_GT(a.find("pool.hits"), label);
+
+  obs::Registry deterministic_only;
+  deterministic_only.set_counter("calls.send", 12);
+  EXPECT_EQ(deterministic_only.report().find(obs::kHostScheduleLabel),
+            std::string::npos);
 }
 
 TEST(Histogram, QuantileEmptyAndSingle) {
