@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
+#include <memory>
 
 #include "kernels/detail/canonical.hpp"
 
@@ -48,23 +50,75 @@ void insertion_sort(double* v, std::size_t n) {
   }
 }
 
-/// MSD radix sort of the images in v[0, n) on the digit at `shift` and
-/// below; every higher digit is equal across the range.
-void radix_sort(double* v, std::size_t n, unsigned shift) {
+/// Sorts the images in v[0, n), n <= kSortKeysScratch, through scratch[0, n):
+/// one counting scatter on the highest bits where the keys differ, a copy
+/// back, recursion into the buckets too big for insertion sort, and one
+/// insertion pass over the whole range, which finishes the small buckets
+/// (it moves no key out of its bucket, and a sorted one costs a compare per
+/// key).
+void small_sort(double* v, std::size_t n, std::uint64_t* scratch) {
   if (n <= kSortKeysFinisher) {
     insertion_sort(v, n);
+    return;
+  }
+  const std::uint64_t k0 = load(v, 0);
+  std::uint64_t diff = 0;
+  for (std::size_t i = 1; i < n; ++i) diff |= load(v, i) ^ k0;
+  if (diff == 0) return;  // every key is equal
+  // A digit of about log2(n) bits leaves a few keys per bucket; more bits
+  // would only lengthen the bucket loops.
+  const auto width = static_cast<unsigned>(std::bit_width(diff));
+  const unsigned bits = std::min(
+      {kDigitBits, static_cast<unsigned>(std::bit_width(n)) - 1, width});
+  const unsigned shift = width - bits;
+  const std::size_t mask = (std::size_t{1} << bits) - 1;
+  const auto digit = [shift, mask](std::uint64_t k) {
+    return static_cast<std::size_t>(k >> shift) & mask;
+  };
+  // next[b] becomes the number of keys whose digit is below b (bucket b's
+  // first slot); the scatter advances it to where bucket b ends.
+  std::size_t next[kRadix + 1] = {};
+  for (std::size_t i = 0; i < n; ++i) ++next[digit(load(v, i)) + 1];
+  for (std::size_t b = 1; b <= mask; ++b) next[b] += next[b - 1];
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t k = load(v, i);
+    scratch[next[digit(k)]++] = k;
+  }
+  std::memcpy(v, scratch, n * sizeof(double));
+  // At shift 0 the digit holds every bit that differs: each bucket is one
+  // key repeated.
+  if (shift > 0) {
+    std::size_t begin = 0;
+    for (std::size_t b = 0; b <= mask; ++b) {
+      if (next[b] - begin > kSortKeysFinisher) {
+        small_sort(v + begin, next[b] - begin, scratch);
+      }
+      begin = next[b];
+    }
+  }
+  insertion_sort(v, n);
+}
+
+/// MSD radix sort of the images in v[0, n) on the digit at `shift` and
+/// below; every higher digit is equal across the range.  Ranges that fit
+/// the scratch go to small_sort instead.
+void radix_sort(double* v, std::size_t n, unsigned shift,
+                std::uint64_t* scratch) {
+  if (n <= kSortKeysScratch) {
+    small_sort(v, n, scratch);
     return;
   }
   const auto digit = [shift](std::uint64_t k) {
     return static_cast<std::size_t>(k >> shift) & (kRadix - 1);
   };
   // head[] counts the keys of each digit, then becomes each bucket's next
-  // unplaced slot.  At most 8 levels of these frames are live at once.
+  // unplaced slot.  Each level takes 8 more bits, and a range stays on this
+  // path only while it holds more than kSortKeysScratch keys.
   std::size_t head[kRadix] = {};
   for (std::size_t i = 0; i < n; ++i) ++head[digit(load(v, i))];
   // A digit every key shares sorts nothing: go straight to the next one.
   if (head[digit(load(v, 0))] == n) {
-    if (shift > 0) radix_sort(v, n, shift - kDigitBits);
+    if (shift > 0) radix_sort(v, n, shift - kDigitBits, scratch);
     return;
   }
   std::size_t end[kRadix];
@@ -96,7 +150,7 @@ void radix_sort(double* v, std::size_t n, unsigned shift) {
   std::size_t begin = 0;
   for (std::size_t b = 0; b < kRadix; ++b) {
     if (end[b] - begin > 1) {
-      radix_sort(v + begin, end[b] - begin, shift - kDigitBits);
+      radix_sort(v + begin, end[b] - begin, shift - kDigitBits, scratch);
     }
     begin = end[b];
   }
@@ -116,8 +170,10 @@ void sort_keys(double* v, std::size_t n) {
   }
   // Every digit above the highest bit where the extremes differ is shared.
   if (lo != hi) {
+    const auto scratch = std::make_unique_for_overwrite<std::uint64_t[]>(
+        std::min(n, kSortKeysScratch));
     const auto top = static_cast<unsigned>(std::bit_width(lo ^ hi)) - 1;
-    radix_sort(v, n, top / kDigitBits * kDigitBits);
+    radix_sort(v, n, top / kDigitBits * kDigitBits, scratch.get());
   }
   for (std::size_t i = 0; i < n; ++i) v[i] = image_key(load(v, i));
 }

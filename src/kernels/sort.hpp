@@ -33,11 +33,20 @@ void bucket_indices(Isa isa, const double* values, std::size_t n,
 /// instead of another radix pass.
 inline constexpr std::size_t kSortKeysFinisher = 32;
 
-/// Sorts v[0, n) ascending in place, allocating nothing proportional to n.
+/// Ranges of at most this many keys are sorted through a scratch buffer
+/// instead of in place (128 KiB of images).
+inline constexpr std::size_t kSortKeysScratch = 16384;
+
+/// Sorts v[0, n) ascending in place, allocating nothing proportional to n:
+/// its one allocation is a scratch of min(n, kSortKeysScratch) images.
 /// Each key is mapped to its order-preserving 64-bit image (sign bit set
-/// for non-negative keys, all bits flipped for negative ones), the images
-/// are MSD radix sorted 8 bits at a time by an in-place (American flag)
-/// permutation, and mapped back.  The result is the total order of those
+/// for non-negative keys, all bits flipped for negative ones), and the
+/// images are MSD radix sorted.  Ranges of more than kSortKeysScratch keys
+/// take 8 bits at a time by an in-place (American flag) permutation; a
+/// range of at most kSortKeysScratch keys is scattered once through the
+/// scratch on the highest bits where its keys differ, its big buckets are
+/// recursed into the same way, and one insertion pass finishes it.  The
+/// images are then mapped back.  The result is the total order of those
 /// images, which agrees with operator< wherever operator< is a strict weak
 /// order, so it is bit-identical to std::sort's for every input without
 /// NaN and without both zeros.  Where std::sort leaves the order

@@ -308,8 +308,23 @@ Result streamed_bucket_sort(mpi::Comm& comm, const std::string& chunk_path,
         kernels::bucket_indices(isa, values.data(), values.size(),
                                 splitters.data(), splitters.size(),
                                 dest.data());
-        for (std::size_t i = 0; i < values.size(); ++i) {
-          if (dest[i] == nr) bucket.push_back(values[i]);
+        // Branch-free keep: half the keys go each way on uniform input, so
+        // a branch on each would mispredict.  Count, grow once (doubling,
+        // as push_back would, so the bucket never ends far above its final
+        // size), then write every key and advance only past the kept ones.
+        std::size_t keep = 0;
+        for (const std::uint32_t d : dest) {
+          keep += static_cast<std::size_t>(d == nr);
+        }
+        const std::size_t m0 = bucket.size();
+        if (m0 + keep > bucket.capacity()) {
+          bucket.reserve(std::max(2 * bucket.capacity(), m0 + keep));
+        }
+        bucket.resize(m0 + keep);
+        double* out = bucket.data() + m0;
+        for (std::size_t i = 0, m = 0; m < keep; ++i) {
+          out[m] = values[i];
+          m += static_cast<std::size_t>(dest[i] == nr);
         }
         comm.sim_compute(2.0 * static_cast<double>(values.size()),
                          8.0 * static_cast<double>(values.size()));

@@ -401,7 +401,9 @@ TEST(KernelsSort, SortKeysMatchesImageOrderOracle) {
   for (const std::size_t n :
        {std::size_t{0}, std::size_t{1}, std::size_t{2},
         ker::kSortKeysFinisher - 1, ker::kSortKeysFinisher,
-        ker::kSortKeysFinisher + 1, std::size_t{100000}}) {
+        ker::kSortKeysFinisher + 1, ker::kSortKeysScratch - 1,
+        ker::kSortKeysScratch, ker::kSortKeysScratch + 1,
+        std::size_t{100000}}) {
     const auto seed = 8000 + static_cast<std::uint64_t>(n);
     const auto uniform = random_values(n, seed);
     expect_sorts_like_oracle(uniform, "uniform");
@@ -431,6 +433,28 @@ TEST(KernelsSort, SortKeysMatchesImageOrderOracle) {
     expect_sorts_like_oracle(expo, "capped exponential");
     expect_sorts_like_oracle(near, "keys a few ulps apart");
   }
+}
+
+TEST(KernelsSort, SortKeysFinishesACrowdedSmallRange) {
+  // kSortKeysScratch keys that differ only in their low 10 bits, so the
+  // scratch path's first digit is bits 2..9.  Half take one of the 64
+  // offsets 4j: each of their digit buckets holds ~128 copies of one key
+  // (a recursion that finds every key equal).  Three eighths are uniform
+  // in [512, 1024): ~48 keys over 4 offsets per bucket, which recurses once
+  // more on the last 2 bits.  The rest are uniform in [256, 512): ~32 keys
+  // per bucket, mostly left to the final insertion pass.
+  const std::size_t n = ker::kSortKeysScratch;
+  const auto one = std::bit_cast<std::uint64_t>(1.0);
+  Xoshiro256 rng(8102);
+  std::vector<double> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t group = i % 8;
+    const std::uint64_t low = group < 4   ? 4 * rng.uniform_index(64)
+                              : group < 7 ? 512 + rng.uniform_index(512)
+                                          : 256 + rng.uniform_index(256);
+    v[i] = std::bit_cast<double>(one + low);
+  }
+  expect_sorts_like_oracle(v, "crowded small range");
 }
 
 TEST(KernelsSort, SortKeysEqualsStdSortWhereStdSortIsDetermined) {

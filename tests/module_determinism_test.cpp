@@ -13,6 +13,7 @@
 // reproduce.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
@@ -423,6 +424,62 @@ struct TempPath {
   std::string path;
 };
 
+/// What a module 3 run leaves: every rank's sorted bucket, gathered on
+/// rank 0 in rank order, and the run's own verdict.
+struct SortCapture {
+  std::vector<double> gathered;
+  bool sorted = false;
+  bool operator==(const SortCapture&) const = default;
+};
+
+SortCapture gather_sorted(mpi::Comm& comm, const std::vector<double>& mine,
+                          bool ok) {
+  SortCapture out;
+  out.sorted = ok;
+  const auto np = static_cast<std::size_t>(comm.size());
+  const std::size_t count = mine.size();
+  std::vector<std::size_t> counts(np);
+  comm.allgather(std::span<const std::size_t>(&count, 1),
+                 std::span<std::size_t>(counts));
+  std::vector<std::size_t> displs(np, 0);
+  std::size_t total = 0;
+  for (std::size_t i = 0; i < np; ++i) {
+    displs[i] = total;
+    total += counts[i];
+  }
+  out.gathered.resize(comm.rank() == 0 ? total : 0);
+  comm.gatherv(std::span<const double>(mine),
+               std::span<const std::size_t>(counts),
+               std::span<const std::size_t>(displs),
+               std::span<double>(out.gathered), 0);
+  return out;
+}
+
+/// The in-core reference: the same keys, block-scattered across p ranks as
+/// their "already distributed" local shards.
+SortCapture incore_sort(const io::Dataset& keys, int p,
+                        const m3::Config& cfg) {
+  return run_forced(p, {}, [&](mpi::Comm& comm) {
+    const auto parts = io::block_partition(
+        keys.size(), static_cast<std::size_t>(comm.size()));
+    const auto [b, e] = parts[static_cast<std::size_t>(comm.rank())];
+    const auto rows = keys.rows(b, e);
+    std::vector<double> local(rows.begin(), rows.end());
+    const m3::Result res = m3::distributed_bucket_sort(comm, local, cfg);
+    return gather_sorted(comm, local, res.globally_sorted);
+  });
+}
+
+SortCapture streamed_sort(const std::string& path, int p,
+                          const m3::Config& cfg, bool overlap) {
+  return run_forced(p, {}, [&](mpi::Comm& comm) {
+    std::vector<double> mine;
+    const m3::Result res =
+        m3::streamed_bucket_sort(comm, path, cfg, mine, {overlap});
+    return gather_sorted(comm, mine, res.globally_sorted);
+  });
+}
+
 }  // namespace
 
 TEST(Streaming, Module2StreamedChecksumMatchesInCore) {
@@ -496,56 +553,44 @@ TEST(Streaming, Module3StreamedBucketsMatchInCore) {
   TempPath chunks("dipdc_m3_stream_incore.bin");
   io::dataset_to_chunks(keys, chunks.path, /*chunk_rows=*/512);  // 8 chunks
 
-  m3::Config cfg;  // kEqualWidth over [0, 1)
-  struct Capture {
-    std::vector<double> gathered;  // rank-0 gatherv of all sorted buckets
-    bool sorted = false;
-    bool operator==(const Capture&) const = default;
-  };
-  // In-core reference: the same keys, block-scattered across ranks as
-  // their "already distributed" local shards.
-  auto gather_sorted = [](mpi::Comm& comm, std::vector<double>& mine,
-                          bool ok) {
-    Capture out;
-    out.sorted = ok;
-    const auto np = static_cast<std::size_t>(comm.size());
-    const auto count = static_cast<std::size_t>(mine.size());
-    std::vector<std::size_t> counts(np);
-    comm.allgather(std::span<const std::size_t>(&count, 1),
-                   std::span<std::size_t>(counts));
-    std::vector<std::size_t> displs(np, 0);
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < np; ++i) {
-      displs[i] = total;
-      total += counts[i];
-    }
-    out.gathered.resize(comm.rank() == 0 ? total : 0);
-    comm.gatherv(std::span<const double>(mine),
-                 std::span<const std::size_t>(counts),
-                 std::span<const std::size_t>(displs),
-                 std::span<double>(out.gathered), 0);
-    return out;
-  };
-  const Capture incore = run_forced(4, {}, [&](mpi::Comm& comm) {
-    const auto parts = io::block_partition(
-        keys.size(), static_cast<std::size_t>(comm.size()));
-    const auto [b, e] = parts[static_cast<std::size_t>(comm.rank())];
-    std::vector<double> local(keys.values().begin() + static_cast<std::ptrdiff_t>(b * 1),
-                              keys.values().begin() + static_cast<std::ptrdiff_t>(e * 1));
-    const m3::Result res = m3::distributed_bucket_sort(comm, local, cfg);
-    return gather_sorted(comm, local, res.globally_sorted);
-  });
+  const m3::Config cfg;  // kEqualWidth over [0, 1)
+  const SortCapture incore = incore_sort(keys, 4, cfg);
   ASSERT_TRUE(incore.sorted);
-
   for (const bool overlap : {true, false}) {
-    const Capture streamed = run_forced(4, {}, [&](mpi::Comm& comm) {
-      std::vector<double> mine;
-      const m3::Result res =
-          m3::streamed_bucket_sort(comm, chunks.path, cfg, mine, {overlap});
-      return gather_sorted(comm, mine, res.globally_sorted);
-    });
+    const SortCapture streamed = streamed_sort(chunks.path, 4, cfg, overlap);
     EXPECT_TRUE(streamed.sorted) << "overlap=" << overlap;
     EXPECT_TRUE(streamed == incore) << "overlap=" << overlap;
+  }
+}
+
+TEST(Streaming, Module3StreamedKeepsWholeAndEmptyChunks) {
+  // Sorted keys in small chunks: most chunks fall wholly into one rank's
+  // bucket, so every other rank keeps none of them, and the chunks that
+  // straddle a splitter keep a prefix on one rank and the suffix on the
+  // next.  Descending order flips which side of a chunk each rank keeps.
+  const auto shuffled = io::generate_uniform(4003, 1, 0.0, 1.0, 11);
+  std::vector<double> ascending(shuffled.values().begin(),
+                                shuffled.values().end());
+  std::sort(ascending.begin(), ascending.end());
+  std::vector<double> descending(ascending.rbegin(), ascending.rend());
+  const m3::Config cfg;  // kEqualWidth over [0, 1)
+  for (const auto* order : {&ascending, &descending}) {
+    const io::Dataset keys(1, *order);
+    TempPath chunks("dipdc_m3_stream_sorted.bin");
+    io::dataset_to_chunks(keys, chunks.path, /*chunk_rows=*/64);  // 63 chunks
+    const bool up = order == &ascending;
+    for (const int p : {2, 3}) {
+      const SortCapture incore = incore_sort(keys, p, cfg);
+      ASSERT_TRUE(incore.sorted) << "p=" << p << " ascending=" << up;
+      for (const bool overlap : {true, false}) {
+        const SortCapture streamed =
+            streamed_sort(chunks.path, p, cfg, overlap);
+        EXPECT_TRUE(streamed.sorted)
+            << "p=" << p << " ascending=" << up << " overlap=" << overlap;
+        EXPECT_TRUE(streamed == incore)
+            << "p=" << p << " ascending=" << up << " overlap=" << overlap;
+      }
+    }
   }
 }
 
