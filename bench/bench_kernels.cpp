@@ -17,6 +17,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -148,27 +149,32 @@ void BM_RngUniform(benchmark::State& state) {
 }
 BENCHMARK(BM_RngUniform);
 
-/// Times `sort` on n uniform keys, restoring the unsorted input untimed
-/// before each iteration.
-void bench_sort(benchmark::State& state, void (*sort)(double*, std::size_t)) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto d = io::generate_uniform(n, 1, 0.0, 1.0, 5);
-  std::vector<double> work(d.values().begin(), d.values().end());
+/// Times `sort` on `keys`, restoring them untimed before each iteration.
+void bench_sort(benchmark::State& state, void (*sort)(double*, std::size_t),
+                const std::vector<double>& keys) {
+  std::vector<double> work(keys.size());
   for (auto _ : state) {
     state.PauseTiming();
-    std::copy(d.values().begin(), d.values().end(), work.begin());
+    std::copy(keys.begin(), keys.end(), work.begin());
     state.ResumeTiming();
     sort(work.data(), work.size());
     benchmark::DoNotOptimize(work.data());
     benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
+                          static_cast<std::int64_t>(keys.size()));
+}
+
+std::vector<double> uniform_keys(std::size_t n, double lo, double hi) {
+  const auto d = io::generate_uniform(n, 1, lo, hi, 5);
+  return {d.values().begin(), d.values().end()};
 }
 
 // The comparison-sort baseline for module 3's local sort.
 void BM_LocalSort(benchmark::State& state) {
-  bench_sort(state, [](double* v, std::size_t n) { std::sort(v, v + n); });
+  bench_sort(
+      state, [](double* v, std::size_t n) { std::sort(v, v + n); },
+      uniform_keys(static_cast<std::size_t>(state.range(0)), 0.0, 1.0));
 }
 BENCHMARK(BM_LocalSort)->Arg(100000)->Arg(1000000);
 
@@ -176,9 +182,34 @@ BENCHMARK(BM_LocalSort)->Arg(100000)->Arg(1000000);
 // registered per ISA below); its ratio to BM_LocalSort is the host-clock
 // gain of the radix sort.
 void BM_KernelSortKeys(benchmark::State& state) {
-  bench_sort(state, ker::sort_keys);
+  bench_sort(state, ker::sort_keys,
+             uniform_keys(static_cast<std::size_t>(state.range(0)), 0.0,
+                          1.0));
 }
 BENCHMARK(BM_KernelSortKeys)->Arg(100000)->Arg(1000000);
+
+// The kernel on the buckets module 3's end-to-end workloads sort: one
+// sort-stream rank's (1M uniform keys in [5, 10), the upper of two
+// equal-width buckets over [0, 10)) and one sort-tcp rank's (400k
+// exponential keys, rate 1, in the middle of three histogram buckets: the
+// middle third of the mass, [ln 1.5, ln 3), drawn by inverse CDF).
+std::vector<double> sort_stream_bucket() {
+  return uniform_keys(1000000, 5.0, 10.0);
+}
+
+std::vector<double> sort_tcp_bucket() {
+  dipdc::support::Xoshiro256 rng(5);
+  std::vector<double> keys(400000);
+  for (auto& x : keys) x = -std::log1p(-rng.uniform(1.0 / 3.0, 2.0 / 3.0));
+  return keys;
+}
+
+void BM_KernelSortKeys(benchmark::State& state,
+                       std::vector<double> (*keys)()) {
+  bench_sort(state, ker::sort_keys, keys());
+}
+BENCHMARK_CAPTURE(BM_KernelSortKeys, sort_stream_bucket, sort_stream_bucket);
+BENCHMARK_CAPTURE(BM_KernelSortKeys, sort_tcp_bucket, sort_tcp_bucket);
 
 // ---------------------------------------------------------------------------
 // BM_Kernel* — the dispatched src/kernels entry points, one registration per

@@ -99,60 +99,150 @@ void small_sort(double* v, std::size_t n, std::uint64_t* scratch) {
   insertion_sort(v, n);
 }
 
+/// A range of more than kSortKeysScratch keys is distributed in blocks of
+/// this many keys, one buffer per bucket: the buffers are the scratch.
+constexpr std::size_t kBlock = kSortKeysScratch / kRadix;
+static_assert(kBlock * kRadix == kSortKeysScratch);
+
+std::size_t align_up(std::size_t i) {
+  return (i + kBlock - 1) / kBlock * kBlock;
+}
+
+void copy_block(void* to, const void* from) {
+  std::memcpy(to, from, kBlock * sizeof(double));
+}
+
+/// Steps 1 and 2 of a block level.  Classify: stream v[0, n) through one
+/// kBlock-key buffer per bucket, flushing each full buffer as a block to
+/// the front of v, behind the read position; each bucket's remainder stays
+/// in its buffer.  Permute: move every block into its bucket's run of
+/// kBlock-aligned slots, which start at the first slot boundary inside the
+/// bucket.  A slot that runs past n is written to `overflow` instead.
+/// Bucket b's keys belong in v[bound[b], bound[b + 1]).
+void classify_and_permute(double* v, std::size_t n, unsigned shift,
+                          std::uint64_t* buffers, double* overflow,
+                          std::size_t* bound) {
+  const auto digit = [shift](std::uint64_t k) {
+    return static_cast<std::size_t>(k >> shift) & (kRadix - 1);
+  };
+  // count[b]'s low bits are bucket b's buffer fill.
+  std::size_t count[kRadix] = {};
+  std::size_t flushed = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t k = load(v, i);
+    const std::size_t b = digit(k);
+    std::uint64_t* buffer = buffers + b * kBlock;
+    buffer[count[b] % kBlock] = k;
+    if (++count[b] % kBlock == 0) {
+      copy_block(v + flushed, buffer);
+      flushed += kBlock;
+    }
+  }
+
+  // Slots [write[b], read[b]) still hold blocks not yet looked at; slots
+  // from max(write[b], read[b]) to bucket b+1's first slot are free.
+  std::size_t write[kRadix] = {};
+  std::size_t read[kRadix] = {};
+  std::size_t sum = 0;
+  for (std::size_t b = 0; b < kRadix; ++b) {
+    bound[b] = sum;
+    sum += count[b];
+    write[b] = align_up(bound[b]);
+    read[b] = std::max(write[b], std::min(align_up(sum), flushed));
+  }
+  bound[kRadix] = n;
+
+  // Each bucket in turn hands its last unread block to the slot where that
+  // block belongs.  An unread block found there is carried on in the other
+  // swap block, until a block lands in a free slot.
+  const auto skip_placed = [&](std::size_t b) {
+    while (write[b] < read[b] && digit(load(v, write[b])) == b) {
+      write[b] += kBlock;
+    }
+  };
+  std::uint64_t swap[2][kBlock] = {};
+  for (std::size_t p = 0; p < kRadix; ++p) {
+    for (skip_placed(p); write[p] < read[p]; skip_placed(p)) {
+      read[p] -= kBlock;
+      copy_block(swap[0], v + read[p]);
+      for (std::size_t held = 0;; held ^= 1) {
+        const std::size_t b = digit(swap[held][0]);
+        skip_placed(b);
+        const std::size_t slot = write[b];
+        write[b] += kBlock;
+        if (slot >= read[b]) {
+          copy_block(slot + kBlock <= n ? v + slot : overflow, swap[held]);
+          break;
+        }
+        copy_block(swap[held ^ 1], v + slot);
+        copy_block(v + slot, swap[held]);
+      }
+    }
+  }
+}
+
+/// Step 3 of a block level: bucket b's blocks fill the aligned slots from
+/// its first slot boundary, so its unaligned head (before that boundary)
+/// and tail (after its last block) are still empty, and its last block may
+/// spill past the bucket's end into the next bucket's head.  In bucket
+/// order, each bucket takes its spilled keys back before the next bucket
+/// writes its head, and fills head and tail from them and its buffer.
+void fill_heads_and_tails(double* v, std::size_t n, const std::size_t* bound,
+                          const std::uint64_t* buffers,
+                          const double* overflow) {
+  for (std::size_t b = 0; b < kRadix; ++b) {
+    const std::size_t begin = bound[b];
+    const std::size_t end = bound[b + 1];
+    const std::size_t first_slot = align_up(begin);
+    const std::size_t fill = (end - begin) % kBlock;
+    const std::size_t placed = first_slot + (end - begin - fill);
+    const std::uint64_t* buffer = buffers + b * kBlock;
+    // A bucket with no blocks has placed == first_slot, which may lie past
+    // its end; one with blocks starts its first block before its end.
+    const std::size_t spill = placed > std::max(first_slot, end)
+                                  ? placed - end : 0;
+    if (spill > 0) {
+      const double* spilled = v + end;
+      if (placed > n) {
+        // The last block went to the overflow block: its first keys belong
+        // in the bucket's last slot, the rest are the spill.
+        const std::size_t slot = placed - kBlock;
+        std::memcpy(v + slot, overflow, (end - slot) * sizeof(double));
+        spilled = overflow + (end - slot);
+      }
+      // The tail is empty: the head is all there is to fill.
+      std::memcpy(v + begin, spilled, spill * sizeof(double));
+      std::memcpy(v + begin + spill, buffer, fill * sizeof(double));
+      continue;
+    }
+    const std::size_t head = std::min(first_slot, end) - begin;
+    std::memcpy(v + begin, buffer, head * sizeof(double));
+    if (fill > head) {
+      std::memcpy(v + placed, buffer + head, (fill - head) * sizeof(double));
+    }
+  }
+}
+
 /// MSD radix sort of the images in v[0, n) on the digit at `shift` and
 /// below; every higher digit is equal across the range.  Ranges that fit
-/// the scratch go to small_sort instead.
+/// the scratch go to small_sort; a larger one is distributed on its digit
+/// by one block level (IPS4o's in-place block distribution, with the
+/// scratch as the bucket buffers) and each bucket is recursed into.
 void radix_sort(double* v, std::size_t n, unsigned shift,
                 std::uint64_t* scratch) {
   if (n <= kSortKeysScratch) {
     small_sort(v, n, scratch);
     return;
   }
-  const auto digit = [shift](std::uint64_t k) {
-    return static_cast<std::size_t>(k >> shift) & (kRadix - 1);
-  };
-  // head[] counts the keys of each digit, then becomes each bucket's next
-  // unplaced slot.  Each level takes 8 more bits, and a range stays on this
-  // path only while it holds more than kSortKeysScratch keys.
-  std::size_t head[kRadix] = {};
-  for (std::size_t i = 0; i < n; ++i) ++head[digit(load(v, i))];
-  // A digit every key shares sorts nothing: go straight to the next one.
-  if (head[digit(load(v, 0))] == n) {
-    if (shift > 0) radix_sort(v, n, shift - kDigitBits, scratch);
-    return;
-  }
-  std::size_t end[kRadix];
-  std::size_t sum = 0;
-  for (std::size_t b = 0; b < kRadix; ++b) {
-    const std::size_t count = head[b];
-    head[b] = sum;
-    sum += count;
-    end[b] = sum;
-  }
-  // American flag permutation: take the first unplaced key of bucket b and
-  // swap it along the cycle of the buckets it belongs to until a key of
-  // bucket b comes back to fill the hole.
-  for (std::size_t b = 0; b < kRadix; ++b) {
-    for (; head[b] < end[b]; ++head[b]) {
-      std::uint64_t k = load(v, head[b]);
-      std::size_t d = digit(k);
-      if (d == b) continue;  // already in place
-      do {
-        const std::uint64_t displaced = load(v, head[d]);
-        store(v, head[d]++, k);
-        k = displaced;
-        d = digit(k);
-      } while (d != b);
-      store(v, head[b], k);
-    }
-  }
+  double overflow[kBlock] = {};
+  std::size_t bound[kRadix + 1] = {};
+  classify_and_permute(v, n, shift, scratch, overflow, bound);
+  fill_heads_and_tails(v, n, bound, scratch, overflow);
   if (shift == 0) return;
-  std::size_t begin = 0;
   for (std::size_t b = 0; b < kRadix; ++b) {
-    if (end[b] - begin > 1) {
-      radix_sort(v + begin, end[b] - begin, shift - kDigitBits, scratch);
-    }
-    begin = end[b];
+    const std::size_t begin = bound[b];
+    const std::size_t size = bound[b + 1] - begin;
+    if (size > 1) radix_sort(v + begin, size, shift - kDigitBits, scratch);
   }
 }
 

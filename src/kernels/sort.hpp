@@ -34,7 +34,8 @@ void bucket_indices(Isa isa, const double* values, std::size_t n,
 inline constexpr std::size_t kSortKeysFinisher = 32;
 
 /// Ranges of at most this many keys are sorted through a scratch buffer
-/// instead of in place (128 KiB of images).
+/// instead of in place (128 KiB of images); larger ones use the same
+/// scratch as their 256 bucket buffers of 64 keys.
 inline constexpr std::size_t kSortKeysScratch = 16384;
 
 /// Sorts v[0, n) ascending in place, allocating nothing proportional to n:
@@ -42,14 +43,17 @@ inline constexpr std::size_t kSortKeysScratch = 16384;
 /// Each key is mapped to its order-preserving 64-bit image (sign bit set
 /// for non-negative keys, all bits flipped for negative ones), and the
 /// images are MSD radix sorted.  Ranges of more than kSortKeysScratch keys
-/// take 8 bits at a time by an in-place (American flag) permutation; a
-/// range of at most kSortKeysScratch keys is scattered once through the
-/// scratch on the highest bits where its keys differ, its big buckets are
-/// recursed into the same way, and one insertion pass finishes it.  The
-/// images are then mapped back.  The result is the total order of those
-/// images, which agrees with operator< wherever operator< is a strict weak
-/// order, so it is bit-identical to std::sort's for every input without
-/// NaN and without both zeros.  Where std::sort leaves the order
+/// take 8 bits at a time by an in-place block distribution: the scratch
+/// serves as 256 bucket buffers of 64 keys, full buffers are flushed as
+/// blocks, the blocks are permuted into their buckets, and each bucket's
+/// unaligned ends are filled from its buffer.  A range of at most
+/// kSortKeysScratch keys is scattered once through the scratch on the
+/// highest bits where its keys differ, its big buckets are recursed into
+/// the same way, and one insertion pass finishes it.  The images are then
+/// mapped back.  The result is the total order of those images, which
+/// agrees with operator< wherever operator< is a strict weak order, so it
+/// is bit-identical to std::sort's for every input without NaN and
+/// without both zeros.  Where std::sort leaves the order
 /// unspecified it is fixed here: -0.0 sorts before +0.0, NaNs with the
 /// sign bit set sort before -inf, and NaNs without it sort after +inf.
 void sort_keys(double* v, std::size_t n);

@@ -14,6 +14,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "kernels/detail/canonical.hpp"
@@ -389,6 +390,33 @@ void expect_sorts_like_oracle(std::vector<double> v, const char* what) {
   EXPECT_EQ(bits_of(v), bits_of(want)) << what << ", n = " << v.size();
 }
 
+// Keys 1.0 + bits as bit patterns: positive, so their images order like
+// `bits`.  With bits = (digit << 8) + low and at least two digits present,
+// a range of more than kSortKeysScratch keys is distributed on `digit` by
+// its first block level.
+double key_with_bits(std::uint64_t bits) {
+  return std::bit_cast<double>(std::bit_cast<std::uint64_t>(1.0) + bits);
+}
+
+/// `count` keys of each (digit, count) bucket, low bits random, shuffled.
+/// Bucket b occupies the sorted positions after every lower digit's keys,
+/// so the counts place each bucket's bounds against the 64-key block grid.
+std::vector<double> keys_in_buckets(
+    const std::vector<std::pair<std::uint64_t, std::size_t>>& buckets,
+    std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::vector<double> v;
+  for (const auto& [digit, count] : buckets) {
+    for (std::size_t i = 0; i < count; ++i) {
+      v.push_back(key_with_bits((digit << 8) + rng.uniform_index(256)));
+    }
+  }
+  for (std::size_t i = v.size(); i > 1; --i) {
+    std::swap(v[i - 1], v[rng.uniform_index(i)]);
+  }
+  return v;
+}
+
 }  // namespace
 
 TEST(KernelsSort, SortKeysMatchesImageOrderOracle) {
@@ -455,6 +483,147 @@ TEST(KernelsSort, SortKeysFinishesACrowdedSmallRange) {
     v[i] = std::bit_cast<double>(one + low);
   }
   expect_sorts_like_oracle(v, "crowded small range");
+}
+
+// Ranges of more than kSortKeysScratch keys are distributed in 64-key
+// blocks: each bucket's blocks fill the block-aligned slots from its first
+// slot boundary, its unaligned head and tail are filled afterwards, and a
+// slot running past the end of the range goes through an overflow block.
+// The tests below place bucket bounds against that grid.
+constexpr std::size_t kBlockKeys = ker::kSortKeysScratch / 256;
+
+TEST(KernelsSortBlocks, RangeSizesAroundTheBlockGrid) {
+  for (const std::size_t n :
+       {ker::kSortKeysScratch + 1, ker::kSortKeysScratch + kBlockKeys - 1,
+        ker::kSortKeysScratch + kBlockKeys + 1, 500 * kBlockKeys + 1,
+        500 * kBlockKeys + kBlockKeys - 1, 1001 * kBlockKeys + 1,
+        1001 * kBlockKeys + kBlockKeys - 1}) {
+    const auto seed = 8200 + static_cast<std::uint64_t>(n);
+    expect_sorts_like_oracle(random_values(n, seed), "uniform");
+    Xoshiro256 rng(seed);
+    std::vector<double> bucketed(n);
+    for (auto& x : bucketed) {
+      x = key_with_bits((rng.uniform_index(37) << 8) + rng.uniform_index(3));
+    }
+    expect_sorts_like_oracle(bucketed, "37 digits, few keys each");
+  }
+}
+
+TEST(KernelsSortBlocks, BucketSmallerThanABlockBetweenTwoLargeOnes) {
+  // Bucket 11 starts at 10000, 48 keys short of a slot boundary, and ends
+  // before it: it owns no slot, and its keys come from its buffer alone.
+  expect_sorts_like_oracle(
+      keys_in_buckets({{10, 10000}, {11, 5}, {12, 10000}}, 8210),
+      "5-key bucket at 10000");
+  expect_sorts_like_oracle(
+      keys_in_buckets({{10, 10000}, {11, 63}, {12, 10000}}, 8211),
+      "63-key bucket at 10000");
+  // Here bucket 11 straddles the boundary at 10048 without a full block.
+  expect_sorts_like_oracle(
+      keys_in_buckets({{10, 10000}, {11, 60}, {12, 10000}}, 8212),
+      "60-key bucket across a slot boundary");
+}
+
+TEST(KernelsSortBlocks, LastBlockRunsPastTheArrayEnd) {
+  // The last bucket starts at 10000 and holds 100 blocks and 10 keys: its
+  // slots start at 10048, so its last block's slot ends at 16448, past
+  // n = 16410, and is written to the overflow block.
+  expect_sorts_like_oracle(
+      keys_in_buckets({{0, 10000}, {255, 100 * kBlockKeys + 10}}, 8220),
+      "highest bucket overflows");
+  // The same slot, and the 48 keys it holds past the bucket's end (16400)
+  // are the whole of two small buckets after it.
+  expect_sorts_like_oracle(
+      keys_in_buckets({{0, 10000}, {100, 100 * kBlockKeys}, {101, 3},
+                       {102, 7}},
+                      8221),
+      "overflow spilling over two small buckets");
+}
+
+TEST(KernelsSortBlocks, AllKeysButOneInOneBucket) {
+  const std::size_t n = 40000;
+  expect_sorts_like_oracle(keys_in_buckets({{7, n - 1}, {200, 1}}, 8230),
+                           "one key above");
+  expect_sorts_like_oracle(keys_in_buckets({{7, 1}, {200, n - 1}}, 8231),
+                           "one key below");
+  expect_sorts_like_oracle(
+      keys_in_buckets({{0, 1}, {1, n - 2}, {255, 1}}, 8232),
+      "one key at each end");
+}
+
+TEST(KernelsSortBlocks, BlocksSpillIntoTheNextBucketsHead) {
+  // Bucket 4 runs [100, 12905) with 200 blocks and 5 keys: its slots start
+  // at 128, so its last block fills [12800, 12928) and 23 of its keys sit
+  // in bucket 5's head until the clean-up moves them.
+  expect_sorts_like_oracle(
+      keys_in_buckets({{3, 100}, {4, 200 * kBlockKeys + 5}, {5, 10000}},
+                      8240),
+      "spill into one head");
+  // The same spill covers buckets 5 and 6 and the head of bucket 7.
+  expect_sorts_like_oracle(
+      keys_in_buckets({{3, 100}, {4, 200 * kBlockKeys + 5}, {5, 3},
+                       {6, 7}, {7, 10000}},
+                      8241),
+      "spill over two small buckets into a third head");
+}
+
+TEST(KernelsSortBlocks, TwoBlockLevelsBeforeTheFinisher) {
+  // Bits 16..23 split 100000 keys into two buckets of 50000, which the
+  // second level splits on bits 8..15 into buckets the finisher sorts.
+  const std::size_t n = 100000;
+  Xoshiro256 rng(8250);
+  std::vector<double> spread(n), shared(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::uint64_t top = (1 + i % 2) << 16;
+    spread[i] = key_with_bits(top + (rng.uniform_index(256) << 8) +
+                              rng.uniform_index(256));
+    // Every key shares bits 8..15, so the second level puts all of each
+    // bucket in one sub-bucket and the third splits it on bits 0..7.
+    shared[i] = key_with_bits(top + (9 << 8) + rng.uniform_index(256));
+  }
+  expect_sorts_like_oracle(spread, "second level splits");
+  expect_sorts_like_oracle(shared, "second level shared, third splits");
+}
+
+TEST(KernelsSortBlocks, RandomShapes) {
+  Xoshiro256 rng(8260);
+  for (int trial = 0; trial < 100; ++trial) {
+    const std::size_t n =
+        ker::kSortKeysScratch + 1 +
+        rng.uniform_index(200000 - ker::kSortKeysScratch);
+    std::vector<double> v(n);
+    switch (trial % 4) {
+      case 0: {  // a uniform range of random width
+        const double lo = rng.uniform(-10.0, 10.0);
+        const double hi = lo + std::ldexp(1.0, static_cast<int>(
+                                                   rng.uniform_index(20)) -
+                                                   10);
+        for (auto& x : v) x = rng.uniform(lo, hi);
+        break;
+      }
+      case 1: {  // up to 256 digits with uneven counts
+        const std::uint64_t digits = 1 + rng.uniform_index(256);
+        const unsigned low_bits = static_cast<unsigned>(rng.uniform_index(9));
+        for (auto& x : v) {
+          const auto d = static_cast<std::uint64_t>(
+              static_cast<double>(digits) * rng.uniform() * rng.uniform());
+          x = key_with_bits((d << 8) +
+                            (rng.uniform_index(std::uint64_t{1} << low_bits)));
+        }
+        break;
+      }
+      case 2:
+        for (auto& x : v) x = std::min(rng.exponential(1.0), 9.999);
+        break;
+      default: {  // few distinct values
+        const std::uint64_t distinct = 1 + rng.uniform_index(1000);
+        for (auto& x : v) {
+          x = static_cast<double>(rng.uniform_index(distinct)) - 500.0;
+        }
+      }
+    }
+    expect_sorts_like_oracle(v, "random shape");
+  }
 }
 
 TEST(KernelsSort, SortKeysEqualsStdSortWhereStdSortIsDetermined) {
