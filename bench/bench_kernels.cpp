@@ -7,7 +7,9 @@
 // The BM_Kernel* group registers every src/kernels entry point once per
 // available ISA (scalar always; simd only when the host supports AVX2), so
 // `items_per_second` ratios between the <scalar> and <simd> rows are the
-// dispatch layer's measured speedups.  Extra flags beyond google-benchmark's:
+// dispatch layer's measured speedups.  Where <simd> runs distance_rows'
+// AVX-512 tier, BM_KernelDistanceRows<avx2> rows time the AVX2 tier in
+// the same recording.  Extra flags beyond google-benchmark's:
 //
 //   --quick    CI smoke mode: run only the BM_Kernel* group with a small
 //              min-time, so the perf-smoke job finishes in seconds.
@@ -216,15 +218,17 @@ BENCHMARK_CAPTURE(BM_KernelSortKeys, sort_tcp_bucket, sort_tcp_bucket);
 // available ISA.  Registered dynamically (not via BENCHMARK) so the <simd>
 // rows only exist on hosts where kernels::simd_supported() is true.
 
-void bm_kernel_distance_rows(benchmark::State& state, ker::Isa isa,
+/// `kernel` has distance_rows' signature minus the Isa: the dispatched
+/// entry point, or one SIMD tier called directly.
+template <typename Kernel>
+void bm_kernel_distance_rows(benchmark::State& state, Kernel kernel,
                              std::size_t n) {
   const std::size_t dim = 90;
   const std::size_t rows = 32;
   const auto d = io::generate_uniform(n, dim, 0.0, 1.0, 1);
   std::vector<double> out(rows * n);
   for (auto _ : state) {
-    ker::distance_rows(isa, d.values().data(), dim, n, 0, rows,
-                       /*tile=*/128, out.data());
+    kernel(d.values().data(), dim, n, 0, rows, /*tile=*/128, out.data());
     benchmark::DoNotOptimize(out.data());
   }
   state.SetItemsProcessed(state.iterations() *
@@ -327,7 +331,15 @@ void register_kernel_benches() {
     for (const std::size_t n : {std::size_t{1024}, std::size_t{4096}}) {
       reg("BM_KernelDistanceRows" + tag + "/" + std::to_string(n),
           [isa, n](benchmark::State& s) {
-            bm_kernel_distance_rows(s, isa, n);
+            bm_kernel_distance_rows(
+                s,
+                [isa](const double* all, std::size_t dim, std::size_t np,
+                      std::size_t row_begin, std::size_t row_end,
+                      std::size_t tile, double* out) {
+                  ker::distance_rows(isa, all, dim, np, row_begin, row_end,
+                                     tile, out);
+                },
+                n);
           });
     }
     reg("BM_KernelDistanceRow" + tag + "/4096",
@@ -355,6 +367,16 @@ void register_kernel_benches() {
         [isa](benchmark::State& s) {
           bm_kernel_bucket_indices(s, isa, 100000);
         });
+  }
+  // <simd> runs the widest tier; where that is AVX-512, an <avx2> row
+  // keeps the AVX2 block kernel measured in the same recording.
+  if (ker::avx512_supported()) {
+    for (const std::size_t n : {std::size_t{1024}, std::size_t{4096}}) {
+      reg("BM_KernelDistanceRows<avx2>/" + std::to_string(n),
+          [n](benchmark::State& s) {
+            bm_kernel_distance_rows(s, ker::detail::distance_rows_avx2, n);
+          });
+    }
   }
 }
 

@@ -18,6 +18,16 @@ bool cpu_has_avx2() {
 #endif
 }
 
+bool cpu_has_avx512() {
+#if defined(DIPDC_KERNELS_HAVE_AVX512) && \
+    (defined(__x86_64__) || defined(__i386__))
+  return __builtin_cpu_supports("avx512f") != 0 &&
+         __builtin_cpu_supports("avx512dq") != 0;
+#else
+  return false;
+#endif
+}
+
 /// DIPDC_KERNEL environment override, read once.  Empty/unset means no
 /// override; "simd" on a host without AVX2 degrades to scalar (the CI
 /// matrix exports the variable unconditionally).
@@ -40,6 +50,11 @@ Isa auto_isa() {
 
 bool simd_supported() {
   static const bool supported = cpu_has_avx2();
+  return supported;
+}
+
+bool avx512_supported() {
+  static const bool supported = simd_supported() && cpu_has_avx512();
   return supported;
 }
 

@@ -2,10 +2,12 @@
 //
 // The data-intensive modules' hot loops (distance matrix, k-means
 // assignment, sort classification) exist in two implementations: a
-// portable scalar path and an AVX2 path compiled into a separate
-// translation unit with -mavx2.  Which one runs is decided once, at
-// startup, from cpuid — never per call — and can be forced for
-// experiments and CI:
+// portable scalar path and a SIMD path compiled into separate
+// translation units with -mavx2 (and, for module 2's block kernel,
+// -mavx512f -mavx512dq).  `Isa::kSimd` runs the widest tier the host
+// has: AVX-512 for `distance_rows` when the CPU and OS support it, AVX2
+// everywhere else.  Which path runs is decided once, at startup, from
+// cpuid — never per call — and can be forced for experiments and CI:
 //
 //   * `Policy::kScalar` / `Policy::kSimd`: an explicit request (the
 //     dipdc `--kernel=` flag and module `Config::kernel` fields).
@@ -30,18 +32,23 @@ namespace dipdc::kernels {
 /// The instruction set a kernel call actually executes with.
 enum class Isa {
   kScalar,  // portable C++, 4-lane blocked accumulation
-  kSimd,    // AVX2 intrinsics, same accumulation order
+  kSimd,    // widest SIMD tier (AVX2, AVX-512), same accumulation order
 };
 
 /// What the caller asked for; resolved to an Isa once per run.
 enum class Policy {
   kAuto,    // DIPDC_KERNEL env override, else cpuid
   kScalar,  // force the portable path
-  kSimd,    // force AVX2 (error if the host lacks it)
+  kSimd,    // force SIMD (error if the host lacks AVX2)
 };
 
 /// True when the AVX2 path is compiled in *and* the CPU reports AVX2.
 [[nodiscard]] bool simd_supported();
+
+/// True when `Isa::kSimd` runs the AVX-512 tier of `distance_rows`: the
+/// AVX2 and AVX-512 paths are compiled in and the CPU (with OS support)
+/// reports avx512f and avx512dq.
+[[nodiscard]] bool avx512_supported();
 
 /// Resolves a policy to the ISA that will run.  kAuto consults
 /// DIPDC_KERNEL and then cpuid; kSimd throws support::PreconditionError

@@ -1,6 +1,6 @@
 // Scalar implementations + ISA dispatch for the distance kernels.  This
 // TU is compiled with -ffp-contract=off: the canonical mul-then-add
-// sequence must not be fused into FMAs the AVX2 path doesn't perform.
+// sequence must not be fused into FMAs the SIMD paths don't perform.
 #include "kernels/distance.hpp"
 
 #include <algorithm>
@@ -54,7 +54,13 @@ void distance_rows(Isa isa, const double* all, std::size_t dim,
                    std::size_t n, std::size_t row_begin, std::size_t row_end,
                    std::size_t tile, double* out) {
   if (isa == Isa::kSimd) {
-    detail::distance_rows_avx2(all, dim, n, row_begin, row_end, tile, out);
+    if (avx512_supported()) {
+      detail::distance_rows_avx512(all, dim, n, row_begin, row_end, tile,
+                                   out);
+    } else {
+      detail::distance_rows_avx2(all, dim, n, row_begin, row_end, tile,
+                                 out);
+    }
   } else {
     distance_rows_scalar(all, dim, n, row_begin, row_end, tile, out);
   }

@@ -18,9 +18,12 @@ namespace dipdc::modules::distmatrix {
 
 namespace mpi = minimpi;
 
+double pair_flops(double pairs, std::size_t dim) {
+  return pairs * (3.0 * static_cast<double>(dim) + 1.0);
+}
+
 double block_flops(std::size_t rows, std::size_t n, std::size_t dim) {
-  return static_cast<double>(rows) * static_cast<double>(n) *
-         (3.0 * static_cast<double>(dim) + 1.0);
+  return pair_flops(static_cast<double>(rows) * static_cast<double>(n), dim);
 }
 
 namespace {
@@ -209,8 +212,7 @@ Result run_distributed(mpi::Comm& comm, const dataio::Dataset& dataset,
                                       config.cache.size_bytes);
     result.dram_bytes =
         full_pairs > 0.0 ? full_traffic * pairs / full_pairs : 0.0;
-    comm.sim_compute(pairs * (3.0 * static_cast<double>(dim) + 1.0),
-                     result.dram_bytes);
+    comm.sim_compute(pair_flops(pairs, dim), result.dram_bytes);
 
     combine(comm, local_checksum, t0x, pairs, result);
     result.comm_time = t_commx - t0x;

@@ -92,21 +92,24 @@ void distance_rows_tiled(std::span<const double> all, std::size_t dim,
   }
 }
 
-/// Floating-point work of a `rows x n` block: 3 flops per dimension
+/// Floating-point work of `pairs` distances: 3 flops per dimension
 /// (subtract, multiply, accumulate) plus the square root.
+[[nodiscard]] double pair_flops(double pairs, std::size_t dim);
+
+/// Floating-point work of a `rows x n` block: pair_flops(rows * n, dim).
 [[nodiscard]] double block_flops(std::size_t rows, std::size_t n,
                                  std::size_t dim);
 
 /// Rows per output strip of the untraced in-core paths.  They compute a
 /// rank's rows a strip at a time into one reused buffer of about 256 KiB
 /// (L2-sized) and continue the checksum over each strip as it lands,
-/// instead of building the rank's whole rows x n block.  A multiple of 4
-/// (the AVX2 micro-kernel's row group), and at least 4.
+/// instead of building the rank's whole rows x n block.  A multiple of 8
+/// (the AVX-512 micro-kernel's row group), and at least 8.
 [[nodiscard]] constexpr std::size_t rows_per_strip(std::size_t n) {
   constexpr std::size_t kStripBytes = 256 * 1024;
   const std::size_t rows =
-      kStripBytes / (std::max<std::size_t>(n, 1) * sizeof(double)) / 4 * 4;
-  return std::max<std::size_t>(rows, 4);
+      kStripBytes / (std::max<std::size_t>(n, 1) * sizeof(double)) / 8 * 8;
+  return std::max<std::size_t>(rows, 8);
 }
 
 /// Analytic DRAM traffic (bytes) of the row-wise kernel: when the dataset

@@ -1,12 +1,13 @@
 // src/kernels contract tests.
 //
 // The load-bearing property is *bit-equality*: the scalar fallback, the
-// AVX2 path and the canonical reference helpers must produce identical
+// SIMD tiers and the canonical reference helpers must produce identical
 // bits for every shape — dimensions that are not a multiple of the lane
 // width, tiles larger than n, k = 1, empty row ranges — because the
 // modules' determinism guarantees (checksums, iteration counts, traces)
-// ride on it.  SIMD cases are skipped on hosts without AVX2; the scalar
-// vs. reference checks always run.
+// ride on it.  SIMD cases are skipped on hosts without AVX2, and the
+// AVX-512 tier's on hosts without avx512f + avx512dq; the scalar vs.
+// reference checks always run.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -170,6 +171,65 @@ TEST(KernelsDistance, DistanceRowsMatchesPerPairReference) {
       EXPECT_EQ(out[r * n + j], ref) << "row " << r << " col " << j;
     }
   }
+}
+
+namespace {
+
+using DistanceRowsTier = void (*)(const double*, std::size_t, std::size_t,
+                                  std::size_t, std::size_t, std::size_t,
+                                  double*);
+
+/// Runs one SIMD tier's block kernel directly (Isa::kSimd only reaches
+/// the widest tier the host has) and compares every cell with the scalar
+/// path, over shapes that reach the 8-row x 4-point AVX-512 block and
+/// each of its edges: 8k + r row groups from nonzero row_begin, n and
+/// tiles whose point counts leave every remainder mod 4, dims on both
+/// sides of the 4-lane chunk, and dim 141, the first whose packed query
+/// rows outgrow the AVX-512 tier's stack buffer.
+void expect_tier_bit_equals_scalar(DistanceRowsTier tier) {
+  // [row_begin, row_end): 8, 9, 15, 16 and 17 rows, then 8*3 + 5.
+  const std::pair<std::size_t, std::size_t> ranges[] = {
+      {0, 8}, {3, 12}, {1, 16}, {5, 21}, {2, 19}, {7, 36}};
+  std::vector<std::size_t> dims;
+  for (std::size_t dim = 1; dim <= 13; ++dim) dims.push_back(dim);
+  for (std::size_t dim = 88; dim <= 91; ++dim) dims.push_back(dim);
+  dims.push_back(141);
+  for (const std::size_t dim : dims) {
+    for (std::size_t n = 36; n < 40; ++n) {
+      const auto all = random_values(n * dim, 7 * n + dim);
+      std::vector<double> scalar(n * n);
+      ker::distance_rows(ker::Isa::kScalar, all.data(), dim, n, 0, n, 0,
+                         scalar.data());
+      // Row-wise, interior tiles of 10 points (2 left over per tile),
+      // and one tile larger than n.
+      for (const std::size_t tile : {std::size_t{0}, std::size_t{10}, n + 5}) {
+        for (const auto& [row_begin, row_end] : ranges) {
+          std::vector<double> out((row_end - row_begin) * n, -1.0);
+          tier(all.data(), dim, n, row_begin, row_end, tile, out.data());
+          for (std::size_t c = 0; c < out.size(); ++c) {
+            ASSERT_EQ(out[c], scalar[row_begin * n + c])
+                << "dim=" << dim << " n=" << n << " tile=" << tile
+                << " rows=[" << row_begin << "," << row_end << ") row "
+                << row_begin + c / n << " col " << c % n;
+          }
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+TEST(KernelsDistance, DistanceRowsAvx2TierBitEqualsScalar) {
+  if (!simd_available()) GTEST_SKIP() << "no AVX2 on this host";
+  expect_tier_bit_equals_scalar(ker::detail::distance_rows_avx2);
+}
+
+TEST(KernelsDistance, DistanceRowsAvx512TierBitEqualsScalar) {
+  if (!ker::avx512_supported()) {
+    GTEST_SKIP() << "no AVX-512 (avx512f + avx512dq) on this host";
+  }
+  expect_tier_bit_equals_scalar(ker::detail::distance_rows_avx512);
 }
 
 // ---------------------------------------------------------------------------

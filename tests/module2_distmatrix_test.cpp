@@ -80,6 +80,19 @@ TEST(Kernels, PartialRowBlocksCoverTheMatrix) {
   }
 }
 
+TEST(Kernels, StripsHoldWholeEightRowGroups) {
+  // Each in-core strip is one distance_rows call, whose AVX-512 tier
+  // blocks 8 rows: a strip of 4 rows (n > 8192) would never reach it.
+  constexpr std::size_t kSizes[] = {1, 1000, 4096, 8192, 8193, 16384,
+                                    1000000};
+  for (const std::size_t n : kSizes) {
+    const std::size_t rows = m2::rows_per_strip(n);
+    EXPECT_GE(rows, 8u) << "n=" << n;
+    EXPECT_EQ(rows % 8, 0u) << "n=" << n;
+  }
+  EXPECT_EQ(m2::rows_per_strip(4096), 8u);  // the benchmark's strips
+}
+
 TEST(CacheBehaviour, TilingReducesMeasuredMisses) {
   // The module's central observation, measured with the cache simulator:
   // for a dataset larger than the cache, the tiled kernel misses less.
