@@ -7,9 +7,10 @@
 // The BM_Kernel* group registers every src/kernels entry point once per
 // available ISA (scalar always; simd only when the host supports AVX2), so
 // `items_per_second` ratios between the <scalar> and <simd> rows are the
-// dispatch layer's measured speedups.  Where <simd> runs distance_rows'
-// AVX-512 tier, BM_KernelDistanceRows<avx2> rows time the AVX2 tier in
-// the same recording.  Extra flags beyond google-benchmark's:
+// dispatch layer's measured speedups.  Where <simd> runs the AVX-512
+// tier, BM_KernelDistanceRows<avx2> and BM_KernelKmeansAssign<avx2> rows
+// time the AVX2 tier in the same recording.  Extra flags beyond
+// google-benchmark's:
 //
 //   --quick    CI smoke mode: run only the BM_Kernel* group with a small
 //              min-time, so the perf-smoke job finishes in seconds.
@@ -248,7 +249,10 @@ void bm_kernel_distance_row(benchmark::State& state, ker::Isa isa,
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 
-void bm_kernel_kmeans_assign(benchmark::State& state, ker::Isa isa,
+/// `kernel` has assign_points' signature minus the Isa: the dispatched
+/// entry point, or one SIMD tier called directly.
+template <typename Kernel>
+void bm_kernel_kmeans_assign(benchmark::State& state, Kernel kernel,
                              std::size_t n, std::size_t dim, std::size_t k) {
   const auto d = io::generate_uniform(n, dim, 0.0, 1.0, 3);
   std::vector<double> centroids(
@@ -260,9 +264,11 @@ void bm_kernel_kmeans_assign(benchmark::State& state, ker::Isa isa,
   for (auto _ : state) {
     std::fill(sums.begin(), sums.end(), 0.0);
     std::fill(counts.begin(), counts.end(), 0.0);
-    ker::assign_points(isa, d.values().data(), n, dim, centroids.data(), k,
-                       assignment.data(), sums.data(), counts.data());
+    kernel(d.values().data(), n, dim, centroids.data(), k,
+           assignment.data(), sums.data(), counts.data());
     benchmark::DoNotOptimize(assignment.data());
+    benchmark::DoNotOptimize(sums.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() *
                           static_cast<std::int64_t>(n * k));
@@ -315,6 +321,24 @@ void bm_kernel_bucket_indices(benchmark::State& state, ker::Isa isa,
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 
+/// One kernel's BM_KernelKmeansAssign rows: 8192 90-D points at k = 16
+/// and 64, and module 5's own shape, 100 000 2-D points at k = 16 (the
+/// kmeans-elastic run).
+template <typename Reg, typename Kernel>
+void register_kmeans_assign(const Reg& reg, const std::string& tag,
+                            Kernel kernel) {
+  for (const std::size_t k : {std::size_t{16}, std::size_t{64}}) {
+    reg("BM_KernelKmeansAssign" + tag + "/8192/k" + std::to_string(k),
+        [kernel, k](benchmark::State& s) {
+          bm_kernel_kmeans_assign(s, kernel, 8192, 90, k);
+        });
+  }
+  reg("BM_KernelKmeansAssign" + tag + "/100000/d2/k16",
+      [kernel](benchmark::State& s) {
+        bm_kernel_kmeans_assign(s, kernel, 100000, 2, 16);
+      });
+}
+
 void register_kernel_benches() {
   struct IsaCase {
     ker::Isa isa;
@@ -346,17 +370,14 @@ void register_kernel_benches() {
         [isa](benchmark::State& s) {
           bm_kernel_distance_row(s, isa, 4096);
         });
-    for (const std::size_t k : {std::size_t{16}, std::size_t{64}}) {
-      reg("BM_KernelKmeansAssign" + tag + "/8192/k" + std::to_string(k),
-          [isa, k](benchmark::State& s) {
-            bm_kernel_kmeans_assign(s, isa, 8192, 90, k);
-          });
-    }
-    // Module 5's own shape: 2-D points, k = 16 (the kmeans-elastic run).
-    reg("BM_KernelKmeansAssign" + tag + "/100000/d2/k16",
-        [isa](benchmark::State& s) {
-          bm_kernel_kmeans_assign(s, isa, 100000, 2, 16);
-        });
+    const auto assign = [isa](const double* points, std::size_t n,
+                              std::size_t dim, const double* centroids,
+                              std::size_t k, std::size_t* assignment,
+                              double* sums, double* counts) {
+      ker::assign_points(isa, points, n, dim, centroids, k, assignment, sums,
+                         counts);
+    };
+    register_kmeans_assign(reg, tag, assign);
     reg("BM_KernelUpdateCentroids" + tag + "/k64",
         [isa](benchmark::State& s) {
           bm_kernel_update_centroids(s, isa, 64);
@@ -368,8 +389,9 @@ void register_kernel_benches() {
           bm_kernel_bucket_indices(s, isa, 100000);
         });
   }
-  // <simd> runs the widest tier; where that is AVX-512, an <avx2> row
-  // keeps the AVX2 block kernel measured in the same recording.
+  // <simd> runs the widest tier; where that is AVX-512, <avx2> rows keep
+  // the AVX2 distance block and assignment kernels measured in the same
+  // recording.
   if (ker::avx512_supported()) {
     for (const std::size_t n : {std::size_t{1024}, std::size_t{4096}}) {
       reg("BM_KernelDistanceRows<avx2>/" + std::to_string(n),
@@ -377,6 +399,7 @@ void register_kernel_benches() {
             bm_kernel_distance_rows(s, ker::detail::distance_rows_avx2, n);
           });
     }
+    register_kmeans_assign(reg, "<avx2>", ker::detail::assign_points_avx2);
   }
 }
 

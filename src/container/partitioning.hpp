@@ -80,9 +80,18 @@ class Partitioning {
 /// max(1, llround(w * scale)).  The floor of 1 keeps prefix sums strictly
 /// increasing (zero-weight elements still need an owner) and the fixed
 /// scale keeps quantization independent of the weight distribution.
+/// Below 2^52 llround is computed inline (a rebalance quantizes every
+/// local element): truncate, then round up when the fraction, which is
+/// exact there, is at least one half.  From 2^52 up (every double is
+/// whole) and for NaN, std::llround decides.
 inline std::uint64_t quantize_weight(double weight, double scale = 1024.0) {
   const double scaled = weight * scale;
-  return scaled <= 1.0 ? 1 : static_cast<std::uint64_t>(std::llround(scaled));
+  if (scaled <= 1.0) return 1;
+  if (scaled < 0x1p52) {
+    const auto whole = static_cast<std::uint64_t>(scaled);
+    return whole + (scaled - static_cast<double>(whole) >= 0.5 ? 1 : 0);
+  }
+  return static_cast<std::uint64_t>(std::llround(scaled));
 }
 
 /// quantize_weight() over a whole weight vector.

@@ -3,10 +3,10 @@
 // The data-intensive modules' hot loops (distance matrix, k-means
 // assignment, sort classification) exist in two implementations: a
 // portable scalar path and a SIMD path compiled into separate
-// translation units with -mavx2 (and, for module 2's block kernel,
-// -mavx512f -mavx512dq).  `Isa::kSimd` runs the widest tier the host
-// has: AVX-512 for `distance_rows` when the CPU and OS support it, AVX2
-// everywhere else.  Which path runs is decided once, at startup, from
+// translation units with -mavx2 (and, for module 2's block kernel and
+// module 5's assignment, -mavx512f -mavx512dq).  `Isa::kSimd` runs the
+// widest tier the host has: AVX-512 for `distance_rows` and
+// `assign_points` when the CPU and OS support it, AVX2 everywhere else.  Which path runs is decided once, at startup, from
 // cpuid — never per call — and can be forced for experiments and CI:
 //
 //   * `Policy::kScalar` / `Policy::kSimd`: an explicit request (the
@@ -45,9 +45,9 @@ enum class Policy {
 /// True when the AVX2 path is compiled in *and* the CPU reports AVX2.
 [[nodiscard]] bool simd_supported();
 
-/// True when `Isa::kSimd` runs the AVX-512 tier of `distance_rows`: the
-/// AVX2 and AVX-512 paths are compiled in and the CPU (with OS support)
-/// reports avx512f and avx512dq.
+/// True when `Isa::kSimd` runs the AVX-512 tier of `distance_rows` and
+/// `assign_points`: the AVX2 and AVX-512 paths are compiled in and the
+/// CPU (with OS support) reports avx512f and avx512dq.
 [[nodiscard]] bool avx512_supported();
 
 /// Resolves a policy to the ISA that will run.  kAuto consults

@@ -86,8 +86,13 @@ void assign_points(Isa isa, const double* points, std::size_t n,
                    std::size_t dim, const double* centroids, std::size_t k,
                    std::size_t* assignment, double* sums, double* counts) {
   if (isa == Isa::kSimd) {
-    detail::assign_points_avx2(points, n, dim, centroids, k, assignment,
-                               sums, counts);
+    if (avx512_supported()) {
+      detail::assign_points_avx512(points, n, dim, centroids, k, assignment,
+                                   sums, counts);
+    } else {
+      detail::assign_points_avx2(points, n, dim, centroids, k, assignment,
+                                 sums, counts);
+    }
   } else {
     assign_scalar(points, n, dim, centroids, k, assignment, sums, counts);
   }

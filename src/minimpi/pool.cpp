@@ -23,7 +23,7 @@ std::size_t BufferPool::class_of(std::size_t n) {
 /// back (or frees it when the pool is full/disabled).
 struct BufferPool::Returner {
   std::shared_ptr<BufferPool> pool;
-  void operator()(std::vector<std::byte>* buf) const { pool->release(buf); }
+  void operator()(Bytes* buf) const { pool->release(buf); }
 };
 
 Buffer BufferPool::acquire(std::size_t n, bool* pool_hit) {
@@ -34,7 +34,7 @@ Buffer BufferPool::acquire(std::size_t n, bool* pool_hit) {
     std::unique_lock<std::mutex> lock(mu_);
     auto& slot = free_[cls];
     if (!slot.empty()) {
-      std::unique_ptr<std::vector<std::byte>> buf = std::move(slot.back());
+      std::unique_ptr<Bytes> buf = std::move(slot.back());
       slot.pop_back();
       pooled_bytes_ -= buf->size();
       lock.unlock();
@@ -45,15 +45,15 @@ Buffer BufferPool::acquire(std::size_t n, bool* pool_hit) {
   // Fresh allocation, sized to the class so it can be reused for any
   // request of the same class later.  The one-time value-initialisation is
   // paid here; recycled buffers are never cleared again.
-  auto* buf = new std::vector<std::byte>(round_up_pow2(n));
+  auto* buf = new Bytes(round_up_pow2(n));
   if (enabled_) {
     return Buffer(buf, Returner{shared_from_this()});
   }
   return Buffer(buf);
 }
 
-void BufferPool::release(std::vector<std::byte>* buf) {
-  std::unique_ptr<std::vector<std::byte>> owned(buf);
+void BufferPool::release(Bytes* buf) {
+  std::unique_ptr<Bytes> owned(buf);
   const std::size_t cls = class_of(owned->size());
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -19,12 +19,19 @@
 #include <span>
 #include <vector>
 
+#include "support/page_allocator.hpp"
+
 namespace dipdc::minimpi::detail {
+
+/// Payload bytes.  Large ones are page-mapped (support/page_allocator.hpp):
+/// the root of a big collective allocates them on its own thread while the
+/// other ranks allocate and free theirs.
+using Bytes = std::vector<std::byte, support::PageAllocator<std::byte>>;
 
 /// Shared payload storage.  Buffers handed to an envelope are immutable
 /// from the moment they are published (shared with a second owner); the
 /// collectives rely on this to forward one buffer through many hops.
-using Buffer = std::shared_ptr<std::vector<std::byte>>;
+using Buffer = std::shared_ptr<Bytes>;
 
 /// A byte range inside a (possibly shared, possibly pooled) buffer: the
 /// unit of zero-copy staging used by the collectives.  `storage` keeps the
@@ -67,7 +74,7 @@ class BufferPool : public std::enable_shared_from_this<BufferPool> {
  private:
   struct Returner;
 
-  void release(std::vector<std::byte>* buf);
+  void release(Bytes* buf);
   static std::size_t class_of(std::size_t n);
 
   static constexpr std::size_t kClassCount = 48;
@@ -75,9 +82,7 @@ class BufferPool : public std::enable_shared_from_this<BufferPool> {
   static constexpr std::size_t kMaxPooledBytes = std::size_t{256} << 20;
 
   std::mutex mu_;
-  std::array<std::vector<std::unique_ptr<std::vector<std::byte>>>,
-             kClassCount>
-      free_;
+  std::array<std::vector<std::unique_ptr<Bytes>>, kClassCount> free_;
   std::size_t pooled_bytes_ = 0;
   bool enabled_;
 };

@@ -13,6 +13,7 @@
 #include "minimpi/ops.hpp"
 #include "modules/stream_sweep.hpp"
 #include "support/error.hpp"
+#include "support/page_allocator.hpp"
 
 namespace dipdc::modules::distmatrix {
 
@@ -129,9 +130,13 @@ Result run_distributed(mpi::Comm& comm, const dataio::Dataset& dataset,
   result.n = n;
   result.dim = dim;
 
-  // Every rank needs all points as distance partners.
+  // Every rank needs all points as distance partners.  Both copies the
+  // in-core path allocates on every rank (this one and the scattered row
+  // block) are page-mapped: the ranks allocate and free them at the same
+  // time, and in the shared heap their free order would decide the
+  // process's peak (support/page_allocator.hpp).
   const auto bcast_dataset = [&] {
-    std::vector<double> all(n * dim);
+    std::vector<double, support::PageAllocator<double>> all(n * dim);
     if (r == 0) {
       std::copy(dataset.values().begin(), dataset.values().end(),
                 all.begin());
@@ -144,7 +149,7 @@ Result run_distributed(mpi::Comm& comm, const dataio::Dataset& dataset,
   // broadcast but assigns rows by index list and skips the block scatter.
   if (config.symmetric || config.distribution == RowDistribution::kCyclic) {
     const double t0x = comm.wtime();
-    const std::vector<double> all = bcast_dataset();
+    const auto all = bcast_dataset();
     const double t_commx = comm.wtime();
 
     std::vector<std::size_t> my_rows;
@@ -240,12 +245,12 @@ Result run_distributed(mpi::Comm& comm, const dataio::Dataset& dataset,
     displs[static_cast<std::size_t>(i)] =
         parts[static_cast<std::size_t>(i)].first * dim;
   }
-  std::vector<double> my_block(my_rows * dim);
+  std::vector<double, support::PageAllocator<double>> my_block(my_rows * dim);
   comm.scatterv(dataset.values(), std::span<const std::size_t>(counts),
                 std::span<const std::size_t>(displs),
                 std::span<double>(my_block), 0);
 
-  const std::vector<double> all = bcast_dataset();
+  const auto all = bcast_dataset();
   comm.phase_end();
 
   const double t_comm_in = comm.wtime();

@@ -392,6 +392,7 @@ Result elastic(mpi::Comm& world, const dataio::Dataset& dataset,
         transport_before = comm->stats().transport_bytes_sent;
       }
 
+      std::vector<double> churn;  // one buffer, refilled every iteration
       for (std::uint64_t iter = start_iter;
            iter < static_cast<std::uint64_t>(config.max_iterations); ++iter) {
         const box::Partitioning& part = pts->partitioning();
@@ -413,7 +414,7 @@ Result elastic(mpi::Comm& world, const dataio::Dataset& dataset,
         // post-failure re-cut balances by the same measure.
         const std::vector<std::size_t>& assignment = lloyd.assignment;
         const std::size_t my_n = assignment.size();
-        std::vector<double> churn(my_n, 2.0);
+        churn.assign(my_n, 2.0);
         if (prev_assignment.size() == my_n) {
           for (std::size_t i = 0; i < my_n; ++i) {
             churn[i] = assignment[i] != prev_assignment[i] ? 2.0 : 1.0;

@@ -4,8 +4,11 @@
 // threshold-gated rebalancing converges (no ping-pong at the boundary).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <random>
@@ -24,6 +27,7 @@
 namespace mpi = dipdc::minimpi;
 using dipdc::container::Container;
 using dipdc::container::Partitioning;
+using dipdc::container::quantize_weight;
 using dipdc::container::quantize_weights;
 
 namespace {
@@ -191,6 +195,52 @@ TEST(Partitioning, QuantizeFloorsAtOne) {
   EXPECT_EQ(q[2], 512u);
   EXPECT_EQ(q[3], 1024u);
   EXPECT_EQ(q[4], 2560u);
+}
+
+TEST(Partitioning, QuantizeEqualsTheLlroundForm) {
+  const auto llround_form = [](double weight, double scale) {
+    const double scaled = weight * scale;
+    return scaled <= 1.0 ? std::uint64_t{1}
+                         : static_cast<std::uint64_t>(std::llround(scaled));
+  };
+  const auto expect_same = [&](double weight, double scale) {
+    ASSERT_EQ(quantize_weight(weight, scale), llround_form(weight, scale))
+        << "weight " << weight << " scale " << scale;
+  };
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double two52 = 0x1p52;
+  const std::vector<double> edges = {
+      // halves, and the doubles on either side of them
+      1.5, 2.5, 3.5, 1023.5, 1e15 + 0.5, 0.49999999999999994 + 1.0,
+      std::nextafter(2.5, 0.0), std::nextafter(2.5, 3.0), 4503599627370495.5,
+      // at or below 1
+      1.0, std::nextafter(1.0, 2.0), std::nextafter(1.0, 0.0), 0.5, 0.0,
+      -0.0, -1.0, -2.5, -kInf,
+      // the 2^52 boundary
+      two52, std::nextafter(two52, 0.0), std::nextafter(two52, kInf),
+      two52 + 2.0, 0x1p62, 0x1p63,
+      // not finite
+      std::numeric_limits<double>::quiet_NaN(), kInf};
+  for (const double w : edges) {
+    expect_same(w, 1.0);
+    expect_same(w, 1024.0);
+  }
+  std::mt19937_64 gen(2024);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int i = 0; i < 20'000'000; ++i) {
+    const std::uint64_t bits = gen();
+    // Uniform over [0, 2^53), halves of whole numbers, and weights as the
+    // container sees them; every eighth draw is an arbitrary bit pattern
+    // (any exponent, NaN and infinities included).
+    double w = 0.0;
+    switch (bits & 7) {
+      case 0: w = std::bit_cast<double>(gen()); break;
+      case 1: w = static_cast<double>(bits >> 12) + 0.5; break;
+      case 2: w = unit(gen) * 0x1p53; break;
+      default: w = unit(gen) * 4.0; break;
+    }
+    expect_same(w, 1024.0);
+  }
 }
 
 // ---- Container transitions --------------------------------------------------

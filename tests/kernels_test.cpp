@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -235,21 +236,42 @@ TEST(KernelsDistance, DistanceRowsAvx512TierBitEqualsScalar) {
 // ---------------------------------------------------------------------------
 // k-means kernels.
 
-TEST(KernelsKmeans, AssignScalarSimdBitEqualOverRandomShapes) {
-  if (!simd_available()) GTEST_SKIP() << "no AVX2 on this host";
+namespace {
+
+using AssignTier = void (*)(const double*, std::size_t, std::size_t,
+                            const double*, std::size_t, std::size_t*,
+                            double*, double*);
+
+/// Runs `tier` and the scalar path and compares assignments, sums and
+/// counts bit for bit.  Shapes cross both SIMD layouts: the AVX2 kernel's
+/// 4-centroid blocks (k up to 40 hits every k % 4) and the AVX-512
+/// kernel's blocks of 32 points, 8 per lane group in 4 argmin chains (n =
+/// 1, 15..17, 31..33, 65 and ~200, then random n).  The first 25 trials
+/// force dim through 1..5 (1-3: tail only; 4: blocked prefix only; 5:
+/// both); later ones also reach 90, module 2's and the bench's dim.
+///
+/// Exact ties must break to the lowest index: centroids 0 and k-1, 1 and
+/// 5 (same lane, blocks 0 and 1 of the AVX2 kernel) and 3 and 4 (the
+/// higher index in the lower lane) are duplicates, and the points that
+/// sit on them are spread over lanes and chains of the 32-point block;
+/// centroids 6 and 7 tie only under the canonical lane order.
+/// Centroid 2 has a NaN coordinate, so its distance never wins; point n-2
+/// has a +inf coordinate and the last point overflows every distance to
+/// +inf, so both keep index 0.
+void expect_assign_bit_equals_scalar(AssignTier tier) {
   Xoshiro256 rng(77);
-  for (int trial = 0; trial < 80; ++trial) {
-    // The SIMD kernel puts 4 centroids in the 4 lanes of a block: k up
-    // to 40 hits every k % 4 with several blocks, and the first 25
-    // trials force dim through 1..5 (1-3: tail only; 4: blocked prefix
-    // only; 5: both).
-    const std::size_t n = 4 + rng.uniform_index(50);
-    const std::size_t dim =
-        trial < 25 ? 1 + static_cast<std::size_t>(trial % 5)
-                   : 1 + rng.uniform_index(40);
+  const std::size_t fixed_n[] = {1, 15, 16, 17, 31, 32, 33, 65, 203};
+  const std::size_t tie_points[] = {0, 1, 2, 7, 8, 13, 16, 22, 24, 31, 40};
+  for (int trial = 0; trial < 120; ++trial) {
+    const auto t = static_cast<std::size_t>(trial);
+    const std::size_t n = t < 3 * std::size(fixed_n)
+                              ? fixed_n[t % std::size(fixed_n)]
+                              : 4 + rng.uniform_index(80);
+    std::size_t dim = trial < 25 ? 1 + t % 5 : 1 + rng.uniform_index(40);
+    if (trial % 10 == 9) dim = 90;
     const std::size_t k = 1 + rng.uniform_index(40);  // includes k = 1
-    auto pts = random_values(n * dim, 3000 + static_cast<std::uint64_t>(trial));
-    auto cents = random_values(k * dim, 4000 + static_cast<std::uint64_t>(trial));
+    auto pts = random_values(n * dim, 3000 + t);
+    auto cents = random_values(k * dim, 4000 + t);
     const auto copy_row = [dim](const std::vector<double>& from,
                                 std::size_t src, std::vector<double>& to,
                                 std::size_t dst) {
@@ -257,17 +279,39 @@ TEST(KernelsKmeans, AssignScalarSimdBitEqualOverRandomShapes) {
                 from.begin() + static_cast<std::ptrdiff_t>((src + 1) * dim),
                 to.begin() + static_cast<std::ptrdiff_t>(dst * dim));
     };
-    // Duplicate centroids — exact distance ties must break to the lowest
-    // index on both paths: 0 and k-1; 1 and 5 (same lane, blocks 0 and
-    // 1); 3 and 4 (the higher index sits in the lower lane).  Points 0..2
-    // sit on a duplicated pair, so the tie is the nearest distance.
     if (k >= 2) copy_row(cents, 0, cents, k - 1);
     if (k >= 7) copy_row(cents, 1, cents, 5);
     if (k >= 6) copy_row(cents, 3, cents, 4);
-    copy_row(cents, 0, pts, 0);
-    if (k >= 7) copy_row(cents, 1, pts, 1);
-    if (k >= 6) copy_row(cents, 3, pts, 2);
-    // Every distance of the last point overflows to +inf: index 0.
+    if (k >= 3) {
+      cents[2 * dim + dim / 2] = std::numeric_limits<double>::quiet_NaN();
+    }
+    // Point p sits on the lower centroid of a duplicated pair.
+    std::vector<std::pair<std::size_t, std::size_t>> ties;
+    const std::size_t tied[] = {0, k >= 7 ? 1u : 0u, k >= 6 ? 3u : 0u};
+    for (std::size_t i = 0; i < std::size(tie_points); ++i) {
+      const std::size_t p = tie_points[i];
+      if (p + 2 >= n) continue;  // the last two points are spoken for
+      ties.emplace_back(p, tied[i % 3]);
+      copy_row(cents, tied[i % 3], pts, p);
+    }
+    // Centroid 7 mirrors centroid 6, shrunk toward the origin, with dims
+    // 4j and 4j + 2 swapped: the canonical (l0+l2)+(l1+l3) gives a point
+    // at the origin equal distances to both, other lane orders often do
+    // not.  One such point sits in each chain.
+    if (k >= 9 && dim >= 4) {
+      for (std::size_t d = 0; d < dim; ++d) cents[6 * dim + d] *= 1e-3;
+      copy_row(cents, 6, cents, 7);
+      for (std::size_t d = 0; d + 4 <= dim; d += 4) {
+        std::swap(cents[7 * dim + d], cents[7 * dim + d + 2]);
+      }
+      for (const std::size_t p : {3u, 12u, 20u, 29u}) {
+        if (p + 2 >= n) continue;
+        std::fill_n(pts.begin() + static_cast<std::ptrdiff_t>(p * dim), dim,
+                    0.0);
+        ties.emplace_back(p, 6);
+      }
+    }
+    if (n >= 3) pts[(n - 2) * dim] = std::numeric_limits<double>::infinity();
     std::fill(pts.end() - static_cast<std::ptrdiff_t>(dim), pts.end(),
               1e300);
 
@@ -277,22 +321,52 @@ TEST(KernelsKmeans, AssignScalarSimdBitEqualOverRandomShapes) {
     ker::assign_points(ker::Isa::kScalar, pts.data(), n, dim, cents.data(),
                        k, assign_scalar.data(), sums_scalar.data(),
                        counts_scalar.data());
-    ker::assign_points(ker::Isa::kSimd, pts.data(), n, dim, cents.data(), k,
-                       assign_simd.data(), sums_simd.data(),
-                       counts_simd.data());
-    ASSERT_EQ(assign_scalar, assign_simd)
-        << "trial " << trial << " n=" << n << " dim=" << dim << " k=" << k;
-    ASSERT_EQ(assign_simd[0], 0u) << "trial " << trial;
-    if (k >= 7) {
-      ASSERT_EQ(assign_simd[1], 1u) << "trial " << trial;
+    tier(pts.data(), n, dim, cents.data(), k, assign_simd.data(),
+         sums_simd.data(), counts_simd.data());
+    const auto shape = [&] {
+      return "trial " + std::to_string(trial) + " n=" + std::to_string(n) +
+             " dim=" + std::to_string(dim) + " k=" + std::to_string(k);
+    };
+    ASSERT_EQ(assign_scalar, assign_simd) << shape();
+    for (const auto& [p, c] : ties) {
+      ASSERT_EQ(assign_simd[p], c) << shape() << " point " << p;
     }
-    if (k >= 6) {
-      ASSERT_EQ(assign_simd[2], 3u) << "trial " << trial;
+    if (n >= 3) {
+      ASSERT_EQ(assign_simd[n - 2], 0u) << shape();
     }
-    ASSERT_EQ(assign_simd[n - 1], 0u) << "trial " << trial;
-    ASSERT_EQ(sums_scalar, sums_simd) << "trial " << trial;
-    ASSERT_EQ(counts_scalar, counts_simd) << "trial " << trial;
+    ASSERT_EQ(assign_simd[n - 1], 0u) << shape();
+    if (k >= 3) {
+      ASSERT_EQ(std::count(assign_simd.begin(), assign_simd.end(), 2u), 0)
+          << shape();
+    }
+    ASSERT_EQ(sums_scalar, sums_simd) << shape();
+    ASSERT_EQ(counts_scalar, counts_simd) << shape();
   }
+}
+
+}  // namespace
+
+TEST(KernelsKmeans, AssignScalarSimdBitEqualOverRandomShapes) {
+  if (!simd_available()) GTEST_SKIP() << "no AVX2 on this host";
+  expect_assign_bit_equals_scalar(
+      [](const double* points, std::size_t n, std::size_t dim,
+         const double* centroids, std::size_t k, std::size_t* assignment,
+         double* sums, double* counts) {
+        ker::assign_points(ker::Isa::kSimd, points, n, dim, centroids, k,
+                           assignment, sums, counts);
+      });
+}
+
+TEST(KernelsKmeans, AssignAvx2TierBitEqualsScalar) {
+  if (!simd_available()) GTEST_SKIP() << "no AVX2 on this host";
+  expect_assign_bit_equals_scalar(ker::detail::assign_points_avx2);
+}
+
+TEST(KernelsKmeans, AssignAvx512TierBitEqualsScalar) {
+  if (!ker::avx512_supported()) {
+    GTEST_SKIP() << "no AVX-512 (avx512f + avx512dq) on this host";
+  }
+  expect_assign_bit_equals_scalar(ker::detail::assign_points_avx512);
 }
 
 TEST(KernelsKmeans, AssignWithoutAccumulatorsAndNearestCentroidAgree) {

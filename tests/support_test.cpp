@@ -210,6 +210,45 @@ TEST(AsciiChart, EmptySeriesDoesNotCrash) {
   EXPECT_NO_THROW({ auto s = support::bar_chart({}); (void)s; });
 }
 
+// ---- PageAllocator ---------------------------------------------------------
+
+#include "support/page_allocator.hpp"
+
+TEST(PageAllocator, VectorsBelowAndAboveTheThresholdStartZeroed) {
+  using Vec = std::vector<double, support::PageAllocator<double>>;
+  for (const std::size_t bytes :
+       {std::size_t{4096}, support::kMappedBytes,
+        3 * support::kMappedBytes + sizeof(double)}) {
+    // The second vector of each size gets the block the first released,
+    // which the first left full of non-zero values.
+    for (int round = 0; round < 2; ++round) {
+      Vec v(bytes / sizeof(double));
+      EXPECT_TRUE(std::all_of(v.begin(), v.end(),
+                              [](double x) { return x == 0.0; }))
+          << bytes << " bytes, round " << round;
+      for (std::size_t i = 0; i < v.size(); ++i) {
+        v[i] = static_cast<double>(i) + 1.0;
+      }
+      EXPECT_EQ(v.back(), static_cast<double>(v.size()));
+    }
+  }
+}
+
+TEST(PageAllocator, ReleasedBlockIsReusedOnlyForItsOwnSize) {
+  const std::size_t bytes = support::kMappedBytes + 7 * 4096;
+  void* a = support::map_pages(bytes);
+  support::unmap_pages(a, bytes);
+  void* b = support::map_pages(bytes);
+  EXPECT_EQ(a, b);
+  void* other = support::map_pages(bytes + 4096);
+  void* c = support::map_pages(bytes);  // nothing of this size kept now
+  EXPECT_NE(c, b);
+  EXPECT_NE(other, b);
+  support::unmap_pages(c, bytes);
+  support::unmap_pages(other, bytes + 4096);
+  support::unmap_pages(b, bytes);
+}
+
 // ---- ArgParser -------------------------------------------------------------
 
 #include "support/args.hpp"
