@@ -32,6 +32,7 @@
 #include "kernels/dispatch.hpp"
 #include "kernels/distance.hpp"
 #include "kernels/kmeans.hpp"
+#include "kernels/quantize.hpp"
 #include "kernels/sort.hpp"
 #include "modules/distmatrix/module2.hpp"
 #include "support/rng.hpp"
@@ -321,6 +322,21 @@ void bm_kernel_bucket_indices(benchmark::State& state, ker::Isa isa,
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 
+/// The rebalance check's pass over one rank's weights: kmeans-elastic's
+/// 33 334 churn weights per rank, each 1.0 or 2.0.
+void bm_kernel_quantize_weights(benchmark::State& state, ker::Isa isa,
+                                std::size_t n) {
+  dipdc::support::Xoshiro256 rng(8);
+  std::vector<double> weights(n);
+  for (auto& w : weights) w = rng.uniform() < 0.1 ? 2.0 : 1.0;
+  for (auto _ : state) {
+    const std::uint64_t sum = ker::quantize_weights(
+        isa, weights.data(), n, ker::kWeightScale, nullptr);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+
 /// One kernel's BM_KernelKmeansAssign rows: 8192 90-D points at k = 16
 /// and 64, and module 5's own shape, 100 000 2-D points at k = 16 (the
 /// kmeans-elastic run).
@@ -387,6 +403,10 @@ void register_kernel_benches() {
     reg("BM_KernelBucketIndices" + tag + "/100000",
         [isa](benchmark::State& s) {
           bm_kernel_bucket_indices(s, isa, 100000);
+        });
+    reg("BM_KernelQuantizeWeights" + tag + "/33334",
+        [isa](benchmark::State& s) {
+          bm_kernel_quantize_weights(s, isa, 33334);
         });
   }
   // <simd> runs the widest tier; where that is AVX-512, <avx2> rows keep

@@ -62,6 +62,8 @@
 #include <vector>
 
 #include "container/partitioning.hpp"
+#include "kernels/dispatch.hpp"
+#include "kernels/quantize.hpp"
 #include "minimpi/comm.hpp"
 #include "minimpi/error.hpp"
 #include "support/error.hpp"
@@ -206,6 +208,11 @@ class Container {
                   "set_weights: need one weight per local element");
     std::copy(weights.begin(), weights.end(), weights_.begin());
   }
+
+  /// The kernel tier that quantizes the weights on every rebalance
+  /// (kernels::quantize_weights); by default kernels::resolve(kAuto).
+  /// Every tier gives the same bits, so it moves only the host clock.
+  void set_kernel(kernels::Isa isa) { isa_ = isa; }
 
   // ---- Partition transitions ----------------------------------------------
 
@@ -456,8 +463,9 @@ class Container {
     // every weight, so a call that keeps the cuts costs one p-word
     // allgather instead of an n-word allgatherv.
     if (threshold > 0.0) {
-      std::uint64_t mine = 0;
-      for (const double w : weights_) mine += quantize_weight(w);
+      const std::uint64_t mine =
+          kernels::quantize_weights(isa_, weights_.data(), weights_.size(),
+                                    kernels::kWeightScale, nullptr);
       std::vector<std::uint64_t> sums(static_cast<std::size_t>(p));
       comm_->allgather(std::span<const std::uint64_t>(&mine, 1),
                        std::span<std::uint64_t>(sums));
@@ -469,8 +477,8 @@ class Container {
     // (2) Everyone learns every element's weight; the recv layout is the
     // current cuts, which all ranks already share.
     local_q_.resize(weights_.size());
-    std::transform(weights_.begin(), weights_.end(), local_q_.begin(),
-                   [](double w) { return quantize_weight(w); });
+    kernels::quantize_weights(isa_, weights_.data(), weights_.size(),
+                              kernels::kWeightScale, local_q_.data());
     std::vector<std::size_t> counts(static_cast<std::size_t>(p));
     std::vector<std::size_t> displs(static_cast<std::size_t>(p));
     for (int r = 0; r < p; ++r) {
@@ -747,7 +755,9 @@ class Container {
     // broadcast (only the root holds the reassembled weights).
     std::vector<std::size_t> ncuts(static_cast<std::size_t>(new_p) + 1, 0);
     if (me == 0) {
-      ncuts = Partitioning::from_weights(quantize_weights(gweights), new_p)
+      ncuts = Partitioning::from_weights(
+                  quantize_weights(gweights, kernels::kWeightScale, isa_),
+                  new_p)
                   .cuts();
     }
     nc.bcast(std::span<std::size_t>(ncuts), 0);
@@ -818,6 +828,7 @@ class Container {
   std::shared_ptr<const Layout> sent_layout_;  // the buddy's newest copy
   std::vector<std::uint64_t> local_q_;   // repartition's quantized weights
   std::vector<std::uint64_t> global_q_;  // ... allgathered over all ranks
+  kernels::Isa isa_ = kernels::resolve(kernels::Policy::kAuto);
   std::uint64_t next_generation_ = 0;
   std::uint64_t layout_gen_ = 0;  // bumps whenever cuts or data may change
   ContainerStats stats_;

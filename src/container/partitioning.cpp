@@ -102,11 +102,10 @@ double Partitioning::imbalance_of_sums(
 }
 
 std::vector<std::uint64_t> quantize_weights(std::span<const double> weights,
-                                            double scale) {
+                                            double scale, kernels::Isa isa) {
   std::vector<std::uint64_t> q(weights.size());
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    q[i] = quantize_weight(weights[i], scale);
-  }
+  kernels::quantize_weights(isa, weights.data(), weights.size(), scale,
+                            q.data());
   return q;
 }
 

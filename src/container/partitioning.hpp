@@ -9,10 +9,11 @@
 // made deterministic).
 #pragma once
 
-#include <cmath>
 #include <cstdint>
 #include <span>
 #include <vector>
+
+#include "kernels/quantize.hpp"
 
 namespace dipdc::container {
 
@@ -76,26 +77,14 @@ class Partitioning {
   std::vector<std::size_t> cuts_;  // size parts+1; cuts_[0] == 0
 };
 
-/// Quantizes one measured (double) weight for the integer cut rule:
-/// max(1, llround(w * scale)).  The floor of 1 keeps prefix sums strictly
-/// increasing (zero-weight elements still need an owner) and the fixed
-/// scale keeps quantization independent of the weight distribution.
-/// Below 2^52 llround is computed inline (a rebalance quantizes every
-/// local element): truncate, then round up when the fraction, which is
-/// exact there, is at least one half.  From 2^52 up (every double is
-/// whole) and for NaN, std::llround decides.
-inline std::uint64_t quantize_weight(double weight, double scale = 1024.0) {
-  const double scaled = weight * scale;
-  if (scaled <= 1.0) return 1;
-  if (scaled < 0x1p52) {
-    const auto whole = static_cast<std::uint64_t>(scaled);
-    return whole + (scaled - static_cast<double>(whole) >= 0.5 ? 1 : 0);
-  }
-  return static_cast<std::uint64_t>(std::llround(scaled));
-}
+/// The cut rule's weight quantization, max(1, llround(w * scale)); it
+/// lives with its dispatched vector form in kernels/quantize.hpp.
+using kernels::quantize_weight;
 
-/// quantize_weight() over a whole weight vector.
-std::vector<std::uint64_t> quantize_weights(std::span<const double> weights,
-                                            double scale = 1024.0);
+/// quantize_weight() over a whole weight vector, on the `isa` tier of
+/// kernels::quantize_weights (every tier gives the same bits).
+std::vector<std::uint64_t> quantize_weights(
+    std::span<const double> weights, double scale = kernels::kWeightScale,
+    kernels::Isa isa = kernels::Isa::kScalar);
 
 }  // namespace dipdc::container

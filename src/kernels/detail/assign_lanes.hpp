@@ -25,9 +25,7 @@
 // never stored.
 //
 // Everything here has internal linkage, and the body calls no library
-// function (std::index_sequence is only a type): an out-of-line copy
-// built with the AVX-512 TU's flags must never be the one the linker
-// keeps for a TU built without them.
+// function (std::index_sequence is only a type), as lanes.hpp requires.
 #pragma once
 
 #include <cstddef>
@@ -35,27 +33,10 @@
 #include <new>
 #include <utility>
 
+#include "kernels/detail/lanes.hpp"
+
 namespace dipdc::kernels::detail {
 namespace {
-
-/// GCC/Clang vector of W doubles.  A struct member typedef, because GCC
-/// drops the vector_size attribute on an alias template.
-template <std::size_t W>
-struct Lanes {
-  typedef double type __attribute__((vector_size(W * sizeof(double))));
-};
-
-template <std::size_t W>
-inline typename Lanes<W>::type load_lanes(const double* p) {
-  typename Lanes<W>::type v = {};
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-template <std::size_t W>
-inline void store_lanes(double* p, typename Lanes<W>::type v) {
-  std::memcpy(p, &v, sizeof v);
-}
 
 /// One step of the transpose network: a[Hi] b[Hi] a[Hi+1] b[Hi+1] ...,
 /// the first (Hi = 0) or second (Hi = W/2) halves of a and b interleaved.

@@ -150,13 +150,16 @@ void Comm::barrier() {
   trace_end(Primitive::kBarrier, -1, 0, 0, t0);
 }
 
-void Comm::bcast_bytes(std::span<std::byte> data, int root) {
+void Comm::bcast_bytes(std::span<const std::byte> send,
+                       std::span<std::byte> recv, int root) {
   validate_peer(root, "bcast");
   count_algo(CollectiveAlgo::kBcastBinomial);
   const int tag = next_collective_tag();
   const int p = size();
   if (p == 1) return;
   const int vrank = (rank_ - root + p) % p;
+  // What this rank forwards: the root's data, else what it received.
+  const std::span<const std::byte> data = vrank == 0 ? send : recv;
   // Staged relay: the payload travels the whole tree as one shared buffer
   // (root stages a single copy; every hop forwards it by reference and
   // copies out into its own user buffer exactly once).  Inline-size
@@ -173,10 +176,10 @@ void Comm::bcast_bytes(std::span<std::byte> data, int root) {
       if (staged) {
         Status st{};
         blob = recv_staged(source, tag, &st);
-        copy_bytes(data, blob.view());
+        copy_bytes(recv, blob.view());
         state().stats.copied_bytes += blob.len;
       } else {
-        recv_bytes(data, source, tag, /*internal=*/true);
+        recv_bytes(recv, source, tag, /*internal=*/true);
       }
       break;
     }

@@ -318,6 +318,17 @@ class Comm {
     trace_end(Primitive::kBcast, root, 0, data.size_bytes(), t0);
   }
 
+  /// The root's side of bcast() for data it may only read: the caller is
+  /// the root, and the other ranks call bcast(data, this rank).  The same
+  /// messages, bytes and trace event as bcast().
+  template <Trivial T>
+  void bcast_root(std::span<const T> data) {
+    count_call(Primitive::kBcast);
+    const TraceStart t0 = trace_begin();
+    bcast_bytes(std::as_bytes(data), {}, rank_);
+    trace_end(Primitive::kBcast, rank_, 0, data.size_bytes(), t0);
+  }
+
   template <Trivial T>
   T bcast_value(T value, int root) {
     bcast(std::span<T>(&value, 1), root);
@@ -683,7 +694,13 @@ class Comm {
 
   // Collective building blocks (collectives.cpp).
   int next_collective_tag();
-  void bcast_bytes(std::span<std::byte> data, int root);
+  void bcast_bytes(std::span<std::byte> data, int root) {
+    bcast_bytes(data, data, root);
+  }
+  /// The root sends `send`; every other rank receives into `recv` and
+  /// forwards from there.
+  void bcast_bytes(std::span<const std::byte> send, std::span<std::byte> recv,
+                   int root);
   void scatter_bytes(std::span<const std::byte> send,
                      std::span<std::byte> recv, int root);
   void scatterv_bytes(std::span<const std::byte> send,

@@ -130,19 +130,21 @@ Result run_distributed(mpi::Comm& comm, const dataio::Dataset& dataset,
   result.n = n;
   result.dim = dim;
 
-  // Every rank needs all points as distance partners.  Both copies the
-  // in-core path allocates on every rank (this one and the scattered row
-  // block) are page-mapped: the ranks allocate and free them at the same
-  // time, and in the shared heap their free order would decide the
-  // process's peak (support/page_allocator.hpp).
-  const auto bcast_dataset = [&] {
-    std::vector<double, support::PageAllocator<double>> all(n * dim);
+  // Every rank needs all points as distance partners.  Rank 0 broadcasts
+  // the dataset it holds and computes from it; the other ranks receive a
+  // copy.  That copy and the scattered row block are page-mapped: the
+  // ranks allocate and free them at the same time, and in the shared heap
+  // their free order would decide the process's peak
+  // (support/page_allocator.hpp).
+  std::vector<double, support::PageAllocator<double>> received;
+  const auto bcast_dataset = [&]() -> std::span<const double> {
     if (r == 0) {
-      std::copy(dataset.values().begin(), dataset.values().end(),
-                all.begin());
+      comm.bcast_root(dataset.values());
+      return dataset.values();
     }
-    comm.bcast(std::span<double>(all), 0);
-    return all;
+    received.resize(n * dim);
+    comm.bcast(std::span<double>(received), 0);
+    return received;
   };
 
   // The extension path (symmetric triangle and/or cyclic rows) shares the
@@ -267,12 +269,11 @@ Result run_distributed(mpi::Comm& comm, const dataio::Dataset& dataset,
     cachesim::CacheHierarchy hierarchy({config.cache});
     cachesim::CacheTracer tracer(&hierarchy);
     if (config.tile == 0) {
-      distance_rows_rowwise(std::span<const double>(all), dim, n, row_begin,
-                            row_end, std::span<double>(block), tracer);
+      distance_rows_rowwise(all, dim, n, row_begin, row_end,
+                            std::span<double>(block), tracer);
     } else {
-      distance_rows_tiled(std::span<const double>(all), dim, n, row_begin,
-                          row_end, config.tile, std::span<double>(block),
-                          tracer);
+      distance_rows_tiled(all, dim, n, row_begin, row_end, config.tile,
+                          std::span<double>(block), tracer);
     }
     result.dram_bytes = static_cast<double>(hierarchy.memory_traffic_bytes());
     result.miss_rate = hierarchy.level(0).miss_rate();

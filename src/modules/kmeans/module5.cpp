@@ -246,6 +246,8 @@ class Lloyd {
         static_cast<long long>(transport_delta), mpi::ops::Sum{}));
   }
 
+  [[nodiscard]] kernels::Isa isa() const { return isa_; }
+
   std::size_t dim = 0;
   std::vector<double> centroids;        // k x dim, replicated on every rank
   std::vector<std::size_t> assignment;  // nearest centroid per local point
@@ -382,6 +384,7 @@ Result elastic(mpi::Comm& world, const dataio::Dataset& dataset,
         }
         pts.emplace(box::Container<double>::scatter(*comm, std::move(source),
                                                     n, lloyd.dim));
+        pts->set_kernel(lloyd.isa());
         lloyd.bcast_initial_centroids(*comm, 0);
         comm->phase_end();
         lloyd.comm_marks += comm->wtime() - t_comm;
@@ -411,14 +414,17 @@ Result elastic(mpi::Comm& world, const dataio::Dataset& dataset,
         result.iterations = static_cast<int>(iter) + 1;
 
         // Churn weights feed the next rebalance AND the checkpoint, so a
-        // post-failure re-cut balances by the same measure.
+        // post-failure re-cut balances by the same measure.  Without a
+        // previous assignment every point counts as churned.
         const std::vector<std::size_t>& assignment = lloyd.assignment;
         const std::size_t my_n = assignment.size();
-        churn.assign(my_n, 2.0);
+        churn.resize(my_n);
         if (prev_assignment.size() == my_n) {
           for (std::size_t i = 0; i < my_n; ++i) {
             churn[i] = assignment[i] != prev_assignment[i] ? 2.0 : 1.0;
           }
+        } else {
+          std::fill(churn.begin(), churn.end(), 2.0);
         }
         pts->set_weights(churn);
         pts->checkpoint(pack_state(iter + 1, lloyd.centroids));
@@ -431,7 +437,9 @@ Result elastic(mpi::Comm& world, const dataio::Dataset& dataset,
             pts->rebalance(elastic.imbalance_threshold)) {
           prev_assignment.clear();  // points moved; churn restarts
         } else {
-          prev_assignment = assignment;
+          // The next step() overwrites every entry of lloyd.assignment, so
+          // the two buffers trade places instead of copying.
+          std::swap(prev_assignment, lloyd.assignment);
         }
       }
       break;

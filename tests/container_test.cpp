@@ -19,6 +19,7 @@
 
 #include "container/container.hpp"
 #include "container/partitioning.hpp"
+#include "kernels/dispatch.hpp"
 #include "minimpi/comm.hpp"
 #include "minimpi/error.hpp"
 #include "minimpi/ops.hpp"
@@ -527,6 +528,81 @@ TEST(Container, RebalanceMatchesTheAllWeightsOracle) {
     }
   }
   // The grid exercises both outcomes.
+  EXPECT_GT(moved, 0);
+  EXPECT_GT(kept, 0);
+}
+
+TEST(Container, RebalanceIsTheSameOnEveryKernelTier) {
+  // The part sums and per-element weights a rebalance quantizes come from
+  // kernels::quantize_weights; its tiers give the same bits, so every
+  // decision, cut and counter must be the same under kScalar and kSimd.
+  // A few weights are at or below the floor (0, 0.5/1024) or far above
+  // 2^52 / 1024, so the SIMD tier's scalar blocks run too.
+  struct Log {
+    std::vector<int> moved;
+    std::vector<std::vector<std::size_t>> cuts;
+    std::vector<std::uint64_t> counters;
+  };
+  const auto run_on = [](dipdc::kernels::Isa isa, int p) {
+    Log log;
+    mpi::run(p, [&](mpi::Comm& comm) {
+      const std::size_t total = 300 + 37 * static_cast<std::size_t>(p);
+      Container<std::uint64_t> c = Container<std::uint64_t>::from_local(
+          comm, total, 1, block_slab(total, comm.size(), comm.rank()));
+      c.set_kernel(isa);
+      for (int round = 0; round < 12; ++round) {
+        std::vector<double> w(c.count());
+        for (std::size_t i = 0; i < w.size(); ++i) {
+          const std::size_t g = c.global_begin() + i;
+          const std::uint64_t h = (g + 1) * 2654435761ULL +
+                                  static_cast<std::uint64_t>(round) * 97;
+          w[i] = (g < total / 3 && round % 3 == 0 ? 6.0 : 1.0) +
+                 static_cast<double>(h % 64) / 32.0;
+          // Sparse edge values in the first third; elsewhere every block
+          // of the SIMD tier is in range.  A weight above 2^52 / 1024
+          // outweighs all others together, so only one round has one.
+          if (g < total / 3 && g % 37 == 0) {
+            w[i] = (g / 37 + static_cast<std::size_t>(round)) % 2 == 0
+                       ? 0.0
+                       : 0.5 / 1024.0;
+          }
+          if (round == 5 && g == total / 2) w[i] = 0x1p50 * 3.0;
+        }
+        c.set_weights(w);
+        const bool moved = round % 4 == 3
+                               ? c.repartition()
+                               : c.rebalance(1.05 + 0.1 * (round % 3));
+        if (comm.rank() == 0) {
+          log.moved.push_back(moved ? 1 : 0);
+          log.cuts.push_back(c.partitioning().cuts());
+        }
+      }
+      const dipdc::container::ContainerStats& st = c.stats();
+      const std::vector<std::uint64_t> mine = {st.repartitions,
+                                               st.rebalance_noops,
+                                               st.elements_moved};
+      std::vector<std::uint64_t> all(mine.size() *
+                                     static_cast<std::size_t>(comm.size()));
+      comm.allgather(std::span<const std::uint64_t>(mine),
+                     std::span<std::uint64_t>(all));
+      if (comm.rank() == 0) log.counters = all;
+    });
+    return log;
+  };
+  if (!dipdc::kernels::simd_supported()) {
+    GTEST_SKIP() << "no SIMD tier on this host";
+  }
+  int moved = 0;
+  int kept = 0;
+  for (int p = 2; p <= 5; ++p) {
+    const Log scalar = run_on(dipdc::kernels::Isa::kScalar, p);
+    const Log simd = run_on(dipdc::kernels::Isa::kSimd, p);
+    EXPECT_EQ(scalar.moved, simd.moved) << "p=" << p;
+    EXPECT_EQ(scalar.cuts, simd.cuts) << "p=" << p;
+    EXPECT_EQ(scalar.counters, simd.counters) << "p=" << p;
+    for (const int m : scalar.moved) (m != 0 ? moved : kept) += 1;
+  }
+  // The rounds exercise both outcomes.
   EXPECT_GT(moved, 0);
   EXPECT_GT(kept, 0);
 }

@@ -15,6 +15,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <random>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "kernels/distance.hpp"
 #include "kernels/filter.hpp"
 #include "kernels/kmeans.hpp"
+#include "kernels/quantize.hpp"
 #include "kernels/sort.hpp"
 #include "support/rng.hpp"
 
@@ -419,6 +421,136 @@ TEST(KernelsKmeans, UpdateCentroidsBitEqualAndEmptyClustersStayPut) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Weight quantization.
+
+namespace {
+
+/// Quantizes `w` on `isa`, with and without the per-weight output, and
+/// checks both against quantize_weight() applied one weight at a time.
+void expect_quantize_matches_reference(ker::Isa isa,
+                                       const std::vector<double>& w,
+                                       double scale, const std::string& what) {
+  std::vector<std::uint64_t> ref(w.size());
+  std::uint64_t ref_sum = 0;
+  for (std::size_t i = 0; i < w.size(); ++i) {
+    ref[i] = ker::quantize_weight(w[i], scale);
+    ref_sum += ref[i];
+  }
+  std::vector<std::uint64_t> out(w.size(), 0xdeadbeef);
+  ASSERT_EQ(ker::quantize_weights(isa, w.data(), w.size(), scale, out.data()),
+            ref_sum)
+      << what;
+  ASSERT_EQ(out, ref) << what;
+  ASSERT_EQ(ker::quantize_weights(isa, w.data(), w.size(), scale, nullptr),
+            ref_sum)
+      << what;
+}
+
+/// The edges of Partitioning.QuantizeEqualsTheLlroundForm: at or below 1,
+/// halves and their neighbours, the 2^52 boundary, 2^62, 2^63 and the
+/// non-finite values.
+std::vector<double> quantize_edges() {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const double two52 = 0x1p52;
+  return {1.5, 2.5, 3.5, 1023.5, 1e15 + 0.5, 0.49999999999999994 + 1.0,
+          std::nextafter(2.5, 0.0), std::nextafter(2.5, 3.0),
+          4503599627370495.5, 1.0, std::nextafter(1.0, 2.0),
+          std::nextafter(1.0, 0.0), 0.5, 0.0, -0.0, -1.0, -2.5, -kInf, two52,
+          std::nextafter(two52, 0.0), std::nextafter(two52, kInf),
+          two52 + 2.0, 0x1p62, 0x1p63,
+          std::numeric_limits<double>::quiet_NaN(), kInf};
+}
+
+std::vector<ker::Isa> quantize_isas() {
+  std::vector<ker::Isa> isas = {ker::Isa::kScalar};
+  if (simd_available()) isas.push_back(ker::Isa::kSimd);
+  return isas;
+}
+
+}  // namespace
+
+TEST(KernelsQuantize, EveryTierEqualsTheScalarFormOnRandomWeights) {
+  std::mt19937_64 gen(2025);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  for (int trial = 0; trial < 400; ++trial) {
+    const std::size_t n = gen() % 300;  // includes short and empty inputs
+    const std::uint64_t mix = gen() % 4;
+    std::vector<double> w(n);
+    for (double& x : w) {
+      // As in Partitioning.QuantizeEqualsTheLlroundForm: uniform over
+      // [0, 2^53), halves of whole numbers and container-like weights,
+      // with arbitrary bit patterns in all trials but the clean ones.
+      const std::uint64_t bits = gen();
+      switch (bits & 7) {
+        case 0:
+          x = mix == 0 ? unit(gen) * 4.0 : std::bit_cast<double>(gen());
+          break;
+        case 1: x = static_cast<double>(bits >> 12) + 0.5; break;
+        case 2: x = unit(gen) * 0x1p53; break;
+        default: x = unit(gen) * 4.0; break;
+      }
+    }
+    for (const ker::Isa isa : quantize_isas()) {
+      for (const double scale : {1.0, 1024.0}) {
+        expect_quantize_matches_reference(
+            isa, w, scale,
+            std::string(ker::isa_name(isa)) + " trial " +
+                std::to_string(trial) + " scale " + std::to_string(scale));
+      }
+    }
+  }
+}
+
+TEST(KernelsQuantize, AnyLaneOfABlockCanTakeTheScalarForm) {
+  // Three blocks of in-range weights; one edge value in each lane of the
+  // middle block in turn, then edges in every block at once.
+  constexpr std::size_t kBlock = ker::detail::kQuantizeBlock;
+  std::vector<double> clean(3 * kBlock + 5);
+  for (std::size_t i = 0; i < clean.size(); ++i) {
+    clean[i] = 1.0 + 0.37 * static_cast<double>(i);
+  }
+  for (const ker::Isa isa : quantize_isas()) {
+    for (const double edge : quantize_edges()) {
+      const std::string at =
+          std::string(ker::isa_name(isa)) + " edge " + std::to_string(edge);
+      for (std::size_t lane = 0; lane < kBlock; ++lane) {
+        std::vector<double> w = clean;
+        w[kBlock + lane] = edge;
+        expect_quantize_matches_reference(
+            isa, w, ker::kWeightScale, at + " lane " + std::to_string(lane));
+      }
+      std::vector<double> w = clean;
+      for (std::size_t b = 0; b < w.size(); b += kBlock / 2 + 3) w[b] = edge;
+      expect_quantize_matches_reference(isa, w, 1.0, at + " scattered");
+    }
+  }
+}
+
+TEST(KernelsQuantize, Avx512TierStopsInFrontOfABlockItCannotTake) {
+  if (!ker::avx512_supported()) {
+    GTEST_SKIP() << "no AVX-512 (avx512f + avx512dq) on this host";
+  }
+  constexpr std::size_t kBlock = ker::detail::kQuantizeBlock;
+  std::vector<double> w(4 * kBlock, 1.25);
+  w[2 * kBlock + 7] = std::numeric_limits<double>::quiet_NaN();
+  std::vector<std::uint64_t> out(w.size(), 0);
+  std::uint64_t sum = 5;
+  EXPECT_EQ(ker::detail::quantize_weights_avx512(w.data(), w.size(),
+                                                 ker::kWeightScale,
+                                                 out.data(), &sum),
+            2 * kBlock);
+  EXPECT_EQ(sum, 5 + 2 * kBlock * 1280);
+  EXPECT_EQ(out[2 * kBlock - 1], 1280u);
+  EXPECT_EQ(out[2 * kBlock], 0u);
+  // A short input is all tail: nothing consumed, nothing added.
+  EXPECT_EQ(ker::detail::quantize_weights_avx512(w.data(), kBlock - 1,
+                                                 ker::kWeightScale, nullptr,
+                                                 &sum),
+            0u);
+  EXPECT_EQ(sum, 5 + 2 * kBlock * 1280);
 }
 
 // ---------------------------------------------------------------------------

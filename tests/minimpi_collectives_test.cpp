@@ -26,6 +26,42 @@ TEST_P(CollectiveSweep, BcastFromEveryRoot) {
   });
 }
 
+TEST_P(CollectiveSweep, BcastRootSendsWhatBcastSends) {
+  // The root's read-only side delivers the same data with the same calls,
+  // messages and bytes as bcast(), inline-sized and staged alike.
+  const int p = GetParam();
+  mpi::run(p, [p](mpi::Comm& comm) {
+    for (const std::size_t n : {std::size_t{3}, std::size_t{50000}}) {
+      for (int root = 0; root < p; ++root) {
+        const auto counters = [&comm] {
+          const mpi::CommStats& st = comm.stats();
+          return std::vector<std::uint64_t>{
+              st.calls[static_cast<std::size_t>(mpi::Primitive::kBcast)],
+              st.transport_bytes_sent, st.transport_messages_sent};
+        };
+        const std::vector<double> source(n, 0.5 + root);
+        const auto before = counters();
+        std::vector<double> plain(n, comm.rank() == root ? 0.5 + root : -1.0);
+        comm.bcast(std::span<double>(plain), root);
+        const auto mid = counters();
+        std::vector<double> got(n, -1.0);
+        if (comm.rank() == root) {
+          comm.bcast_root(std::span<const double>(source));
+          got = source;
+        } else {
+          comm.bcast(std::span<double>(got), root);
+        }
+        const auto after = counters();
+        EXPECT_EQ(got, plain);
+        for (std::size_t i = 0; i < before.size(); ++i) {
+          EXPECT_EQ(after[i] - mid[i], mid[i] - before[i])
+              << "counter " << i << " n=" << n << " root=" << root;
+        }
+      }
+    }
+  });
+}
+
 TEST_P(CollectiveSweep, BcastValueConvenience) {
   const int p = GetParam();
   mpi::run(p, [](mpi::Comm& comm) {
