@@ -7,10 +7,10 @@
 // The BM_Kernel* group registers every src/kernels entry point once per
 // available ISA (scalar always; simd only when the host supports AVX2), so
 // `items_per_second` ratios between the <scalar> and <simd> rows are the
-// dispatch layer's measured speedups.  Where <simd> runs the AVX-512
-// tier, BM_KernelDistanceRows<avx2> and BM_KernelKmeansAssign<avx2> rows
-// time the AVX2 tier in the same recording.  Extra flags beyond
-// google-benchmark's:
+// dispatch layer's measured speedups.  <avx2> rows call the AVX2 tier of
+// the kernels that also have an AVX-512 one (distance_rows,
+// bucket_indices, count_in_rect, assign_points) directly, so a host where
+// <simd> runs the AVX-512 tier times both tiers in the same recording.  Extra flags beyond google-benchmark's:
 //
 //   --quick    CI smoke mode: run only the BM_Kernel* group with a small
 //              min-time, so the perf-smoke job finishes in seconds.
@@ -31,6 +31,7 @@
 #include "index/rtree.hpp"
 #include "kernels/dispatch.hpp"
 #include "kernels/distance.hpp"
+#include "kernels/filter.hpp"
 #include "kernels/kmeans.hpp"
 #include "kernels/quantize.hpp"
 #include "kernels/sort.hpp"
@@ -304,7 +305,10 @@ void bm_kernel_histogram(benchmark::State& state, ker::Isa isa,
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
 
-void bm_kernel_bucket_indices(benchmark::State& state, ker::Isa isa,
+/// Here and below, `kernel` has the entry point's signature minus the Isa:
+/// the dispatched entry point, or one SIMD tier called directly.
+template <typename Kernel>
+void bm_kernel_bucket_indices(benchmark::State& state, Kernel kernel,
                               std::size_t n) {
   const std::size_t nsplit = 15;  // p = 16 ranks
   const auto d = io::generate_uniform(n, 1, 0.0, 10.0, 7);
@@ -315,9 +319,24 @@ void bm_kernel_bucket_indices(benchmark::State& state, ker::Isa isa,
   }
   std::vector<std::uint32_t> dest(n);
   for (auto _ : state) {
-    ker::bucket_indices(isa, d.values().data(), n, splitters.data(), nsplit,
-                        dest.data());
+    kernel(d.values().data(), n, splitters.data(), nsplit, dest.data());
     benchmark::DoNotOptimize(dest.data());
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
+}
+
+/// Module 4's shard scan: n uniform points in the unit square against a
+/// window holding a quarter of them.
+template <typename Kernel>
+void bm_kernel_count_in_rect(benchmark::State& state, Kernel kernel,
+                             std::size_t n) {
+  const auto xs = io::generate_uniform(n, 1, 0.0, 1.0, 9);
+  const auto ys = io::generate_uniform(n, 1, 0.0, 1.0, 10);
+  for (auto _ : state) {
+    const std::uint64_t matches = kernel(xs.values().data(),
+                                         ys.values().data(), n, 0.25, 0.25,
+                                         0.75, 0.75);
+    benchmark::DoNotOptimize(matches);
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(n));
 }
@@ -402,17 +421,24 @@ void register_kernel_benches() {
         [isa](benchmark::State& s) { bm_kernel_histogram(s, isa, 100000); });
     reg("BM_KernelBucketIndices" + tag + "/100000",
         [isa](benchmark::State& s) {
-          bm_kernel_bucket_indices(s, isa, 100000);
+          bm_kernel_bucket_indices(
+              s, [isa](auto... a) { ker::bucket_indices(isa, a...); },
+              100000);
+        });
+    reg("BM_KernelCountInRect" + tag + "/100000",
+        [isa](benchmark::State& s) {
+          bm_kernel_count_in_rect(
+              s, [isa](auto... a) { return ker::count_in_rect(isa, a...); },
+              100000);
         });
     reg("BM_KernelQuantizeWeights" + tag + "/33334",
         [isa](benchmark::State& s) {
           bm_kernel_quantize_weights(s, isa, 33334);
         });
   }
-  // <simd> runs the widest tier; where that is AVX-512, <avx2> rows keep
-  // the AVX2 distance block and assignment kernels measured in the same
-  // recording.
-  if (ker::avx512_supported()) {
+  // <simd> runs the widest tier; <avx2> rows keep the AVX2 tier measured
+  // where that is AVX-512.
+  if (ker::simd_supported()) {
     for (const std::size_t n : {std::size_t{1024}, std::size_t{4096}}) {
       reg("BM_KernelDistanceRows<avx2>/" + std::to_string(n),
           [n](benchmark::State& s) {
@@ -420,6 +446,12 @@ void register_kernel_benches() {
           });
     }
     register_kmeans_assign(reg, "<avx2>", ker::detail::assign_points_avx2);
+    reg("BM_KernelBucketIndices<avx2>/100000", [](benchmark::State& s) {
+      bm_kernel_bucket_indices(s, ker::detail::bucket_indices_avx2, 100000);
+    });
+    reg("BM_KernelCountInRect<avx2>/100000", [](benchmark::State& s) {
+      bm_kernel_count_in_rect(s, ker::detail::count_in_rect_avx2, 100000);
+    });
   }
 }
 

@@ -1,6 +1,6 @@
 // k-means assignment with points in the lanes, written once over a GCC
 // vector type of W doubles.  A tier is one instantiation in a TU built
-// with that tier's -m flags and -ffp-contract=off: kmeans_avx512.cpp, at
+// with that tier's -m flags and -ffp-contract=off: lanes_avx512.cpp, at
 // W = 8.  (At W = 4 under -mavx2 it lost to kmeans_avx2.cpp; see
 // kmeans.hpp.)
 //
@@ -30,7 +30,6 @@
 
 #include <cstddef>
 #include <cstring>
-#include <new>
 #include <utility>
 
 #include "kernels/detail/lanes.hpp"
@@ -187,22 +186,6 @@ void assign_pass(const double* points, std::size_t n, std::size_t dim,
     }
   }
 }
-
-/// A block's transposed points: `doubles` doubles, 64-byte aligned so
-/// that every lane vector sits in one cache line.
-class BlockScratch {
- public:
-  explicit BlockScratch(std::size_t doubles)
-      : data_(static_cast<double*>(::operator new(doubles * sizeof(double),
-                                                  std::align_val_t{64}))) {}
-  BlockScratch(const BlockScratch&) = delete;
-  BlockScratch& operator=(const BlockScratch&) = delete;
-  ~BlockScratch() { ::operator delete(data_, std::align_val_t{64}); }
-  [[nodiscard]] double* data() const { return data_; }
-
- private:
-  double* data_;
-};
 
 /// kernels::assign_points' contract with points in the lanes.
 template <std::size_t W>

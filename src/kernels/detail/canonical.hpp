@@ -1,6 +1,6 @@
 // The canonical floating-point accumulation scheme every kernel path —
-// scalar, AVX2, and the cachesim-traced reference loops in the modules —
-// must reproduce **bit-for-bit**.
+// scalar, the AVX2 and AVX-512 tiers, and the cachesim-traced reference
+// loops in the modules — must reproduce **bit-for-bit**.
 //
 // An AVX2 vector of doubles has 4 lanes, so the canonical order for any
 // length-`dim` reduction is:
@@ -8,13 +8,14 @@
 //   1. walk d in blocks of 4, keeping 4 independent lane accumulators
 //      l0..l3 (lane j accumulates dimensions d ≡ j mod 4 of the blocked
 //      prefix);
-//   2. reduce the lanes as (l0 + l2) + (l1 + l3) — exactly what the
-//      extract-high/add/horizontal-add sequence in the AVX2 TUs computes;
+//   2. reduce the lanes as (l0 + l2) + (l1 + l3) — what the tiers' lane
+//      shuffles compute (detail/distance_lanes.hpp's reduce4);
 //   3. fold the `dim % 4` tail dimensions in sequentially.
 //
 // Each step is one IEEE multiply then one IEEE add (never a fused
-// multiply-add: the kernel TUs are compiled with -ffp-contract=off, and
-// the AVX2 paths use explicit mul/add intrinsics).  Two consequences:
+// multiply-add: the kernel TUs are compiled with -ffp-contract=off).  A
+// wider tier keeps this 4-lane order per (row, point) pair: it holds
+// several pairs' l0..l3 side by side.  Two consequences:
 //
 //   * scalar and SIMD kernels return identical bits for every input, so
 //     forcing `--kernel=scalar` can never change a checksum; and
@@ -59,7 +60,7 @@ inline double squared_distance_ref(const double* a, const double* b,
 }
 
 /// Canonical histogram bin of `v`: offset into [0, bins) clamped at both
-/// ends, truncated toward zero (matching _mm256_cvttpd_epi32).
+/// ends, truncated toward zero (as the tiers' vector conversion is).
 inline std::size_t histogram_bin_ref(double v, double lo, double bin_width,
                                      std::size_t bins) {
   double offset = (v - lo) / bin_width;

@@ -1,6 +1,6 @@
 // The quantized weight sum of kernels/quantize.hpp, written once over the
 // lane types of detail/lanes.hpp.  A tier is one instantiation:
-// quantize_avx512.cpp, at W = 8.
+// lanes_avx512.cpp, at W = 8.
 //
 // Inside (1, 2^52), kernels::quantize_weight's inline llround is
 // floor(s + 0.5) for s = w * scale: 0.5 is a whole number of ulps of s

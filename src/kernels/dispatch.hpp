@@ -1,13 +1,14 @@
 // Runtime ISA dispatch for the compute kernels (src/kernels).
 //
 // The data-intensive modules' hot loops (distance matrix, k-means
-// assignment, sort classification) exist in two implementations: a
-// portable scalar path and a SIMD path compiled into separate
-// translation units with -mavx2 (and, for module 2's block kernel and
-// module 5's assignment, -mavx512f -mavx512dq).  `Isa::kSimd` runs the
-// widest tier the host has: AVX-512 for `distance_rows` and
-// `assign_points` when the CPU and OS support it, AVX2 everywhere else.  Which path runs is decided once, at startup, from
-// cpuid — never per call — and can be forced for experiments and CI:
+// assignment, sort classification, range filter) exist in two
+// implementations: a portable scalar path and a SIMD path compiled into
+// separate translation units, one per tier: -mavx2 (lanes_avx2.cpp and
+// kmeans_avx2.cpp) and -mavx512f -mavx512dq (lanes_avx512.cpp).
+// `Isa::kSimd` runs the widest tier the host has: AVX-512 when the CPU and
+// OS support it, AVX2 everywhere else.  Which path runs is decided once,
+// at startup, from cpuid — never per call — and can be forced for
+// experiments and CI:
 //
 //   * `Policy::kScalar` / `Policy::kSimd`: an explicit request (the
 //     dipdc `--kernel=` flag and module `Config::kernel` fields).
@@ -45,9 +46,10 @@ enum class Policy {
 /// True when the AVX2 path is compiled in *and* the CPU reports AVX2.
 [[nodiscard]] bool simd_supported();
 
-/// True when `Isa::kSimd` runs the AVX-512 tier of `distance_rows` and
-/// `assign_points`: the AVX2 and AVX-512 paths are compiled in and the
-/// CPU (with OS support) reports avx512f and avx512dq.
+/// True when `Isa::kSimd` runs the AVX-512 tier (every kernel but
+/// `update_centroids`, which has only the AVX2 one): the AVX2 and AVX-512
+/// paths are compiled in and the CPU (with OS support) reports avx512f
+/// and avx512dq.
 [[nodiscard]] bool avx512_supported();
 
 /// Resolves a policy to the ISA that will run.  kAuto consults

@@ -16,9 +16,9 @@ namespace dipdc::kernels {
 
 /// Distances of one query point `a` against points [j_begin, j_end) of
 /// the n x dim array `pts`; out_row[j] = ‖a − pts_j‖ for each computed j
-/// (cells outside the range are untouched).  The SIMD path is AVX2 on
-/// every SIMD host (this kernel has no AVX-512 tier) and blocks 4
-/// partner points per pass over the 90-dim inner product.
+/// (cells outside the range are untouched).  The SIMD path blocks 4
+/// partner points per pass over the 90-dim inner product, in ymm
+/// registers on every SIMD host: a lone row fills only half a zmm.
 void distance_row(Isa isa, const double* a, const double* pts,
                   std::size_t dim, std::size_t j_begin, std::size_t j_end,
                   double* out_row);
@@ -29,9 +29,8 @@ void distance_row(Isa isa, const double* a, const double* pts,
 /// otherwise partner points are visited in j-tiles of `tile` points
 /// (the cache-blocked variant).  The SIMD path runs a register-blocked
 /// micro-kernel inside each tile: 8 rows x 4 points in zmm registers on
-/// an AVX-512 host (avx512_supported()), 4 rows x 2 points in ymm
-/// registers on an AVX2-only one; the AVX-512 tier hands the rows % 8
-/// and (tile points) % 4 edges to the AVX2 code.
+/// an AVX-512 host (avx512_supported()), 4 rows x 4 points in ymm
+/// registers on an AVX2-only one (detail/distance_lanes.hpp).
 void distance_rows(Isa isa, const double* all, std::size_t dim,
                    std::size_t n, std::size_t row_begin, std::size_t row_end,
                    std::size_t tile, double* out);

@@ -10,7 +10,9 @@ std::uint64_t count_in_rect(Isa isa, const double* xs, const double* ys,
                             std::size_t n, double xmin, double ymin,
                             double xmax, double ymax) {
   if (isa == Isa::kSimd) {
-    return detail::count_in_rect_avx2(xs, ys, n, xmin, ymin, xmax, ymax);
+    return (avx512_supported() ? detail::count_in_rect_avx512
+                               : detail::count_in_rect_avx2)(
+        xs, ys, n, xmin, ymin, xmax, ymax);
   }
   std::uint64_t matches = 0;
   for (std::size_t i = 0; i < n; ++i) {

@@ -3,11 +3,11 @@
 // (modules/rangequery/serving.hpp, detail::ShardCells), while the
 // simulated clock charges a brute-force scan of the whole shard.  The
 // points live as two parallel coordinate arrays (structure-of-arrays:
-// one contiguous stream of x, one of y), so the AVX2 path can compare
-// four points per instruction without a gather.  The result is an
-// integer match count, so bit-identity between the paths means "the same
-// count" — guaranteed because both perform the identical IEEE
-// comparisons: the closed-rectangle test
+// one contiguous stream of x, one of y), so the SIMD path can compare
+// four (AVX2) or eight (AVX-512) points per instruction without a
+// gather.  The result is an integer match count, so bit-identity between
+// the paths means "the same count" — guaranteed because both perform the
+// identical IEEE comparisons: the closed-rectangle test
 //   x >= xmin && x <= xmax && y >= ymin && y <= ymax
 // with ordered (NaN-rejecting) semantics, matching spatial::
 // Rect::contains exactly, including boundary points and NaN coordinates.
@@ -29,8 +29,8 @@ std::uint64_t count_in_rect(Isa isa, const double* xs, const double* ys,
 
 namespace detail {
 
-/// Scalar reference for one point (shared by the scalar path, the AVX2
-/// tail, and the tests' oracle).
+/// Scalar reference for one point (shared by the scalar path and the
+/// tests' oracle).
 inline bool in_rect_ref(double x, double y, double xmin, double ymin,
                         double xmax, double ymax) {
   return x >= xmin && x <= xmax && y >= ymin && y <= ymax;
@@ -39,6 +39,9 @@ inline bool in_rect_ref(double x, double y, double xmin, double ymin,
 std::uint64_t count_in_rect_avx2(const double* xs, const double* ys,
                                  std::size_t n, double xmin, double ymin,
                                  double xmax, double ymax);
+std::uint64_t count_in_rect_avx512(const double* xs, const double* ys,
+                                   std::size_t n, double xmin, double ymin,
+                                   double xmax, double ymax);
 
 }  // namespace detail
 

@@ -8,7 +8,7 @@
 //     distance, strict '<' over ascending centroids — with a vector
 //     select, so no lane ever looks at another and no horizontal
 //     reduction is needed (detail/assign_lanes.hpp, one body over a GCC
-//     vector type; kmeans_avx512.cpp instantiates it at 8 lanes).
+//     vector type; lanes_avx512.cpp instantiates it at 8 lanes).
 //   * AVX2: centroids in the lanes.  The centroids are transposed into
 //     blocks of 4 so that every dim vectorizes, module 5's 2-D points
 //     included, and the nearest centroid is found by a branch-free

@@ -1,21 +1,40 @@
 // AVX2 k-means kernels: assignment with 4 centroids in the 4 lanes (so
 // every dim vectorizes, module 5's 2-D points included) and a branch-free
 // argmin, and vectorized centroid updates.  Same canonical accumulation
-// contract as the scalar path; see distance_avx2.cpp for TU conventions.
+// contract as the scalar path: 4-lane blocked accumulation with explicit
+// mul/add (nothing is fused into an FMA under -ffp-contract=off),
+// (l0+l2)+(l1+l3), sequential tail for dim % 4.  Built with -mavx2 when
+// the toolchain targets x86-64; otherwise the stubs at the bottom keep the
+// link whole (dispatch never selects them: simd_supported() is false
+// without DIPDC_KERNELS_HAVE_AVX2).  Like the lane bodies (lanes.hpp), it
+// uses no library template, so it emits no weak copy of one.
 #include "kernels/kmeans.hpp"
 
 #if defined(__AVX2__)
 
-#include <algorithm>
-#include <limits>
-#include <vector>
+#include <immintrin.h>
 
-#include "kernels/detail/avx2.hpp"
 #include "kernels/detail/canonical.hpp"
+#include "kernels/detail/lanes.hpp"
 
 namespace dipdc::kernels::detail {
 
 namespace {
+
+/// The canonical (l0 + l2) + (l1 + l3) of the 4 lane accumulators.
+inline double reduce_lanes(__m256d acc) {
+  const __m128d lo = _mm256_castpd256_pd128(acc);     // [l0, l1]
+  const __m128d hi = _mm256_extractf128_pd(acc, 1);   // [l2, l3]
+  const __m128d pair = _mm_add_pd(lo, hi);            // [l0+l2, l1+l3]
+  const __m128d upper = _mm_unpackhi_pd(pair, pair);  // [l1+l3, l1+l3]
+  return _mm_cvtsd_f64(_mm_add_sd(pair, upper));
+}
+
+/// One canonical block step: acc += (a - b)^2 as explicit sub/mul/add.
+inline __m256d accumulate_sq_diff(__m256d acc, __m256d a, __m256d b) {
+  const __m256d diff = _mm256_sub_pd(a, b);
+  return _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
+}
 
 /// sum_row += pt, element-wise (order-free: bit-identical to scalar).
 inline void add_into(double* sum_row, const double* pt, std::size_t dim) {
@@ -35,7 +54,7 @@ inline std::size_t lowest_argmin(__m256d best_d, __m256d best_i) {
   __m256d m = _mm256_min_pd(best_d, _mm256_permute2f128_pd(best_d, best_d, 1));
   m = _mm256_min_pd(m, _mm256_permute_pd(m, 0b0101));
   __m256d idx = _mm256_blendv_pd(
-      _mm256_set1_pd(std::numeric_limits<double>::infinity()), best_i,
+      _mm256_set1_pd(__builtin_inf()), best_i,
       _mm256_cmp_pd(best_d, m, _CMP_EQ_OQ));
   idx = _mm256_min_pd(idx, _mm256_permute2f128_pd(idx, idx, 1));
   idx = _mm256_min_pd(idx, _mm256_permute_pd(idx, 0b0101));
@@ -53,8 +72,11 @@ void assign_points_avx2(const double* points, std::size_t n,
   // b * kLanes + q.  Padding lanes of the last block hold NaN, so their
   // distance is NaN and never compares less — they cannot win.
   const std::size_t blocks = (k + kLanes - 1) / kLanes;
-  std::vector<double> ct(blocks * dim * kLanes,
-                         std::numeric_limits<double>::quiet_NaN());
+  const BlockScratch scratch(blocks * dim * kLanes);
+  double* ct = scratch.data();
+  for (std::size_t i = 0; i < blocks * dim * kLanes; ++i) {
+    ct[i] = __builtin_nan("");
+  }
   for (std::size_t c = 0; c < k; ++c) {
     for (std::size_t d = 0; d < dim; ++d) {
       ct[((c / kLanes) * dim + d) * kLanes + c % kLanes] =
@@ -65,7 +87,7 @@ void assign_points_avx2(const double* points, std::size_t n,
   // tail, and a per-block `d < dim` loop doubled the 2-D pass time.
   const std::size_t tail = dim % kLanes;
   const std::size_t body = dim - tail;
-  const __m256d inf = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  const __m256d inf = _mm256_set1_pd(__builtin_inf());
   const __m256d first_idx = _mm256_setr_pd(0.0, 1.0, 2.0, 3.0);
   const __m256d idx_step = _mm256_set1_pd(static_cast<double>(kLanes));
   for (std::size_t i = 0; i < n; ++i) {
@@ -75,7 +97,7 @@ void assign_points_avx2(const double* points, std::size_t n,
     __m256d best_d = inf;
     __m256d best_i = _mm256_setzero_pd();
     __m256d idx = first_idx;
-    const double* cb = ct.data();
+    const double* cb = ct;
     for (std::size_t b = 0; b < blocks; ++b, cb += dim * kLanes) {
       // Lane = centroid, so each lane runs squared_distance_ref exactly:
       // l0..l3 over the blocked prefix, (l0+l2)+(l1+l3), sequential tail.
@@ -138,7 +160,7 @@ double update_centroids_avx2(double* centroids, const double* sums,
       d2sum += diff * diff;
       cent[d] = next;
     }
-    movement = std::max(movement, d2sum);
+    movement = d2sum > movement ? d2sum : movement;
   }
   return movement;
 }

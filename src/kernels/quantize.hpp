@@ -4,7 +4,7 @@
 // rank's part, so each call quantizes every local weight: O(n) on the
 // host even when only p words go on the wire.  `quantize_weights` is that
 // pass.  Its `Isa::kSimd` tier is detail/quantize_lanes.hpp at W = 8
-// (quantize_avx512.cpp), where avx512_supported(); without AVX-512 it runs
+// (lanes_avx512.cpp), where avx512_supported(); without AVX-512 it runs
 // the scalar loop, because AVX2 has no double -> 64-bit integer
 // conversion.  Every tier returns the same bits as the scalar loop.
 #pragma once

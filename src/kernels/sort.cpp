@@ -283,7 +283,9 @@ void bucket_indices(Isa isa, const double* values, std::size_t n,
                     const double* splitters, std::size_t nsplit,
                     std::uint32_t* out) {
   if (isa == Isa::kSimd) {
-    detail::bucket_indices_avx2(values, n, splitters, nsplit, out);
+    (avx512_supported() ? detail::bucket_indices_avx512
+                        : detail::bucket_indices_avx2)(values, n, splitters,
+                                                       nsplit, out);
     return;
   }
   for (std::size_t i = 0; i < n; ++i) {

@@ -64,6 +64,9 @@ void histogram_avx2(const double* values, std::size_t n, double lo,
 void bucket_indices_avx2(const double* values, std::size_t n,
                          const double* splitters, std::size_t nsplit,
                          std::uint32_t* out);
+void bucket_indices_avx512(const double* values, std::size_t n,
+                           const double* splitters, std::size_t nsplit,
+                           std::uint32_t* out);
 }  // namespace detail
 
 }  // namespace dipdc::kernels

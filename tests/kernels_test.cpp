@@ -44,6 +44,31 @@ std::vector<double> random_values(std::size_t count, std::uint64_t seed,
 
 bool simd_available() { return ker::simd_supported(); }
 
+std::vector<std::uint64_t> bits_of(const std::vector<double>& v) {
+  std::vector<std::uint64_t> out(v.size());
+  std::transform(v.begin(), v.end(), out.begin(),
+                 [](double x) { return std::bit_cast<std::uint64_t>(x); });
+  return out;
+}
+
+constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
+/// n random points of `dim` coordinates with special values in one
+/// coordinate: NaN in point 5, +inf in points 7 and 11 (so their distance
+/// is inf - inf) and -inf in point 13.  No point mixes NaN and inf, so
+/// every NaN result has one source and one bit pattern on every path.
+std::vector<double> tier_points(std::size_t n, std::size_t dim,
+                                std::uint64_t seed) {
+  auto all = random_values(n * dim, seed);
+  const std::size_t d = dim / 2;
+  all[5 * dim + d] = kNaN;
+  all[7 * dim + d] = kInf;
+  all[11 * dim + d] = kInf;
+  all[13 * dim + d] = -kInf;
+  return all;
+}
+
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -183,15 +208,16 @@ using DistanceRowsTier = void (*)(const double*, std::size_t, std::size_t,
                                   double*);
 
 /// Runs one SIMD tier's block kernel directly (Isa::kSimd only reaches
-/// the widest tier the host has) and compares every cell with the scalar
-/// path, over shapes that reach the 8-row x 4-point AVX-512 block and
-/// each of its edges: 8k + r row groups from nonzero row_begin, n and
-/// tiles whose point counts leave every remainder mod 4, dims on both
-/// sides of the 4-lane chunk, and dim 141, the first whose packed query
-/// rows outgrow the AVX-512 tier's stack buffer.
+/// the widest tier the host has) and compares every cell, bit for bit,
+/// with the scalar path, over shapes that reach the 8-row x 4-point
+/// AVX-512 block, the 4 x 4 AVX2 one and each of their edges: row counts
+/// of every remainder mod 8 from nonzero row_begin, n and tiles (1, 3, 10,
+/// 128 and past n) that leave every remainder mod 4, dims on both sides
+/// of the 4-lane chunk up to 141, and NaN and +-inf coordinates.
 void expect_tier_bit_equals_scalar(DistanceRowsTier tier) {
-  // [row_begin, row_end): 8, 9, 15, 16 and 17 rows, then 8*3 + 5.
+  // [row_begin, row_end): 1 to 7 rows, 8, 9, 15, 16 and 17, then 8*3 + 5.
   const std::pair<std::size_t, std::size_t> ranges[] = {
+      {0, 1}, {3, 5},  {1, 4},  {5, 9},  {2, 7},  {7, 13}, {1, 8},
       {0, 8}, {3, 12}, {1, 16}, {5, 21}, {2, 19}, {7, 36}};
   std::vector<std::size_t> dims;
   for (std::size_t dim = 1; dim <= 13; ++dim) dims.push_back(dim);
@@ -199,18 +225,20 @@ void expect_tier_bit_equals_scalar(DistanceRowsTier tier) {
   dims.push_back(141);
   for (const std::size_t dim : dims) {
     for (std::size_t n = 36; n < 40; ++n) {
-      const auto all = random_values(n * dim, 7 * n + dim);
+      const auto all = tier_points(n, dim, 7 * n + dim);
       std::vector<double> scalar(n * n);
       ker::distance_rows(ker::Isa::kScalar, all.data(), dim, n, 0, n, 0,
                          scalar.data());
-      // Row-wise, interior tiles of 10 points (2 left over per tile),
-      // and one tile larger than n.
-      for (const std::size_t tile : {std::size_t{0}, std::size_t{10}, n + 5}) {
+      const auto want = bits_of(scalar);
+      for (const std::size_t tile : {std::size_t{0}, std::size_t{1},
+                                     std::size_t{3}, std::size_t{10},
+                                     std::size_t{128}, n + 5}) {
         for (const auto& [row_begin, row_end] : ranges) {
           std::vector<double> out((row_end - row_begin) * n, -1.0);
           tier(all.data(), dim, n, row_begin, row_end, tile, out.data());
+          const auto got = bits_of(out);
           for (std::size_t c = 0; c < out.size(); ++c) {
-            ASSERT_EQ(out[c], scalar[row_begin * n + c])
+            ASSERT_EQ(got[c], want[row_begin * n + c])
                 << "dim=" << dim << " n=" << n << " tile=" << tile
                 << " rows=[" << row_begin << "," << row_end << ") row "
                 << row_begin + c / n << " col " << c % n;
@@ -453,7 +481,6 @@ void expect_quantize_matches_reference(ker::Isa isa,
 /// halves and their neighbours, the 2^52 boundary, 2^62, 2^63 and the
 /// non-finite values.
 std::vector<double> quantize_edges() {
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   const double two52 = 0x1p52;
   return {1.5, 2.5, 3.5, 1023.5, 1e15 + 0.5, 0.49999999999999994 + 1.0,
           std::nextafter(2.5, 0.0), std::nextafter(2.5, 3.0),
@@ -638,13 +665,6 @@ namespace {
 std::uint64_t image_ref(double x) {
   const auto u = std::bit_cast<std::uint64_t>(x);
   return (u >> 63) != 0 ? ~u : (u | (std::uint64_t{1} << 63));
-}
-
-std::vector<std::uint64_t> bits_of(const std::vector<double>& v) {
-  std::vector<std::uint64_t> out(v.size());
-  std::transform(v.begin(), v.end(), out.begin(),
-                 [](double x) { return std::bit_cast<std::uint64_t>(x); });
-  return out;
 }
 
 void expect_sorts_like_oracle(std::vector<double> v, const char* what) {
@@ -990,4 +1010,175 @@ TEST(KernelsFilter, ScalarSimdBitEqualOverRandomShapes) {
               ref)
         << "trial " << trial;
   }
+}
+
+// ---------------------------------------------------------------------------
+// The SIMD tiers of the other distance kernels and of the sort and filter
+// kernels, called directly and compared bit for bit with the scalar path.
+// distance_row, squared_distance and histogram have only the AVX2 tier,
+// which Isa::kSimd runs on every SIMD host; bucket_indices and
+// count_in_rect also have an AVX-512 one.  Element counts run through
+// every remainder mod 8, so each tier's padded last vector is reached.
+
+namespace {
+
+const std::size_t kTierDims[] = {1, 2, 3, 4, 5, 8, 90, 91};
+
+/// `count` random values in [lo, hi) with `specials` at every third
+/// position from the front.
+std::vector<double> with_specials(std::size_t count, std::uint64_t seed,
+                                  double lo, double hi,
+                                  const std::vector<double>& specials) {
+  auto v = random_values(count, seed, lo, hi);
+  for (std::size_t i = 0; i < specials.size(); ++i) v[3 * i] = specials[i];
+  return v;
+}
+
+using BucketTier = void (*)(const double*, std::size_t, const double*,
+                            std::size_t, std::uint32_t*);
+
+void expect_bucket_tier_bit_equals_scalar(BucketTier tier) {
+  // Keys equal to a splitter land after it (upper_bound), NaN before all.
+  const auto values = with_specials(
+      45, 71, 0.0, 6.0, {1.0, 2.0, 5.0, 0.0, 6.0, kNaN, kInf, -kInf, -0.0});
+  std::vector<double> even(15);
+  for (std::size_t s = 0; s < even.size(); ++s) {
+    even[s] = 6.0 * static_cast<double>(s + 1) / 16.0;
+  }
+  const std::vector<std::vector<double>> splitter_sets = {
+      {}, {2.0}, {1.0, 2.0, 2.0, 5.0}, even};
+  for (const auto& splitters : splitter_sets) {
+    for (std::size_t n = 0; n <= values.size(); ++n) {
+      std::vector<std::uint32_t> want(n + 1, 999), got(n + 1, 999);
+      ker::bucket_indices(ker::Isa::kScalar, values.data(), n,
+                          splitters.data(), splitters.size(), want.data());
+      tier(values.data(), n, splitters.data(), splitters.size(), got.data());
+      ASSERT_EQ(got, want) << splitters.size() << " splitters, n=" << n;
+    }
+  }
+}
+
+using RectTier = std::uint64_t (*)(const double*, const double*, std::size_t,
+                                   double, double, double, double);
+
+void expect_rect_tier_bit_equals_scalar(RectTier tier) {
+  // Points on the window edges, at (5, 5), and with NaN or infinite
+  // coordinates.
+  const auto xs = with_specials(45, 81, 0.0, 10.0,
+                                {2.0, 8.0, 5.0, kNaN, 4.0, kInf, -kInf, 3.0});
+  const auto ys = with_specials(45, 82, 0.0, 10.0,
+                                {2.0, 8.0, 5.0, 4.0, kNaN, 3.0, 6.0, -kInf});
+  struct Window {
+    double xmin, ymin, xmax, ymax;
+  };
+  const Window windows[] = {
+      {2.0, 2.0, 8.0, 8.0},   {5.0, 5.0, 5.0, 5.0},  // zero area
+      {8.0, 2.0, 2.0, 8.0},   {2.0, 8.0, 8.0, 2.0},  // min > max
+      {kNaN, 2.0, 8.0, 8.0},  {2.0, kNaN, 8.0, 8.0},
+      {2.0, 2.0, kNaN, 8.0},  {2.0, 2.0, 8.0, kNaN},
+      {-kInf, -kInf, kInf, kInf}};
+  for (const Window& w : windows) {
+    for (std::size_t n = 0; n <= xs.size(); ++n) {
+      ASSERT_EQ(tier(xs.data(), ys.data(), n, w.xmin, w.ymin, w.xmax,
+                     w.ymax),
+                ker::count_in_rect(ker::Isa::kScalar, xs.data(), ys.data(),
+                                   n, w.xmin, w.ymin, w.xmax, w.ymax))
+          << "window [" << w.xmin << "," << w.xmax << "]x[" << w.ymin << ","
+          << w.ymax << "] n=" << n;
+    }
+  }
+}
+
+}  // namespace
+
+TEST(KernelsDistance, DistanceRowAvx2TierBitEqualsScalar) {
+  if (!simd_available()) GTEST_SKIP() << "no AVX2 on this host";
+  const std::size_t n = 39;
+  for (const std::size_t dim : kTierDims) {
+    const auto all = tier_points(n, dim, 300 + dim);
+    // Finite, NaN, +inf and -inf query rows; ranges of every length from
+    // several starts, and an inverted range, which is a no-op.
+    for (const std::size_t row : {0u, 5u, 7u, 13u}) {
+      const double* a = all.data() + row * dim;
+      for (const std::size_t j_begin : {0u, 1u, 2u, 3u, 6u}) {
+        for (std::size_t j_end = j_begin; j_end <= n; ++j_end) {
+          std::vector<double> want(n, -1.0), got(n, -1.0);
+          ker::distance_row(ker::Isa::kScalar, a, all.data(), dim, j_begin,
+                            j_end, want.data());
+          ker::detail::distance_row_avx2(a, all.data(), dim, j_begin, j_end,
+                                         got.data());
+          ASSERT_EQ(bits_of(got), bits_of(want))
+              << "dim=" << dim << " row " << row << " range [" << j_begin
+              << "," << j_end << ")";
+        }
+      }
+      std::vector<double> got(n, -7.0);
+      ker::detail::distance_row_avx2(a, all.data(), dim, 20, 5, got.data());
+      ASSERT_EQ(got, std::vector<double>(n, -7.0)) << "dim=" << dim;
+    }
+  }
+}
+
+TEST(KernelsDistance, SquaredDistanceAvx2TierBitEqualsScalar) {
+  if (!simd_available()) GTEST_SKIP() << "no AVX2 on this host";
+  const std::size_t n = 20;
+  const std::size_t rows[] = {0, 1, 5, 7, 11, 13};
+  for (const std::size_t dim : kTierDims) {
+    const auto all = tier_points(n, dim, 400 + dim);
+    for (const std::size_t i : rows) {
+      for (const std::size_t j : rows) {
+        const double* a = all.data() + i * dim;
+        const double* b = all.data() + j * dim;
+        ASSERT_EQ(std::bit_cast<std::uint64_t>(
+                      ker::detail::squared_distance_avx2(a, b, dim)),
+                  std::bit_cast<std::uint64_t>(
+                      ker::detail::squared_distance_ref(a, b, dim)))
+            << "dim=" << dim << " points " << i << ", " << j;
+      }
+    }
+  }
+}
+
+TEST(KernelsSort, HistogramAvx2TierBitEqualsScalar) {
+  if (!simd_available()) GTEST_SKIP() << "no AVX2 on this host";
+  const double lo = 0.0;
+  // lo itself, the top edge, a bin edge, both zeros, NaN and infinities.
+  const auto values =
+      with_specials(45, 61, -2.0, 10.0,
+                    {lo, 8.0, 2.5, -0.0, kNaN, kInf, -kInf, 1e300, -1e300});
+  for (const std::size_t bins : {1u, 7u, 16u, 256u}) {
+    const double width = 8.0 / static_cast<double>(bins);
+    for (std::size_t n = 0; n <= values.size(); ++n) {
+      std::vector<std::uint64_t> want(bins, 3), got(bins, 3);
+      ker::histogram(ker::Isa::kScalar, values.data(), n, lo, width, bins,
+                     want.data());
+      ker::detail::histogram_avx2(values.data(), n, lo, width, bins,
+                                  got.data());
+      ASSERT_EQ(got, want) << "bins=" << bins << " n=" << n;
+    }
+  }
+}
+
+TEST(KernelsSort, BucketIndicesAvx2TierBitEqualsScalar) {
+  if (!simd_available()) GTEST_SKIP() << "no AVX2 on this host";
+  expect_bucket_tier_bit_equals_scalar(ker::detail::bucket_indices_avx2);
+}
+
+TEST(KernelsSort, BucketIndicesAvx512TierBitEqualsScalar) {
+  if (!ker::avx512_supported()) {
+    GTEST_SKIP() << "no AVX-512 (avx512f + avx512dq) on this host";
+  }
+  expect_bucket_tier_bit_equals_scalar(ker::detail::bucket_indices_avx512);
+}
+
+TEST(KernelsFilter, CountInRectAvx2TierBitEqualsScalar) {
+  if (!simd_available()) GTEST_SKIP() << "no AVX2 on this host";
+  expect_rect_tier_bit_equals_scalar(ker::detail::count_in_rect_avx2);
+}
+
+TEST(KernelsFilter, CountInRectAvx512TierBitEqualsScalar) {
+  if (!ker::avx512_supported()) {
+    GTEST_SKIP() << "no AVX-512 (avx512f + avx512dq) on this host";
+  }
+  expect_rect_tier_bit_equals_scalar(ker::detail::count_in_rect_avx512);
 }
